@@ -5,11 +5,7 @@ Phases measured (all on a seeded Table-II-style generated lake):
 
 ==================  ========================================================
 build_scalar        seed cell-at-a-time ``build_alltables`` (reference)
-build_vectorized    columnar fast path (batch XASH + ``insert_columns``)
-build_parallel_wN   sharded build, ``IndexConfig(workers=N)`` (the
-                    ``--workers`` axis; adaptive scheduling, so on a
-                    single-CPU host this measures the in-process sharded
-                    kernel and the fan-out engages where cores exist)
+build_vectorized    the vectorised kernel (batch XASH + ``insert_columns``)
 normalize_scalar    per-cell ``normalize_cell`` loop over the lake's full
                     cell matrix (the old flush-path tokenisation)
 normalize           the batched ``normalize_tokens`` kernel on the same
@@ -40,7 +36,7 @@ import numpy as np
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
 from repro.index import IndexConfig, build_alltables
-from repro.index.alltables import ALLTABLES_SCHEMA, _available_cpus
+from repro.index.alltables import ALLTABLES_SCHEMA
 from repro.index.xash import xash
 from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.lake.table import normalize_cell, normalize_tokens
@@ -78,12 +74,9 @@ def _bench_lake(seed: int, scale: float = 1.0):
     return lake
 
 
-def run_benchmark(
-    seed: int = DEFAULT_SEED, scale: float = 1.0, workers: int = 4
-) -> dict[str, dict[str, float]]:
+def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dict[str, float]]:
     """Time every phase on a freshly generated lake; returns the
-    ``BENCH_index.json`` payload. *workers* adds one ``build_parallel_wN``
-    phase for the sharded build (0 disables the phase)."""
+    ``BENCH_index.json`` payload."""
     lake = _bench_lake(seed, scale)
     results: dict[str, dict[str, float]] = {}
 
@@ -101,18 +94,6 @@ def run_benchmark(
         lambda: build_alltables(lake, db_vector, IndexConfig(vectorized=True))
     )
     results["build_vectorized"] = _phase(seconds, index_rows)
-
-    if workers:
-        db_parallel = Database(backend="column")
-        seconds, parallel_report = _timed(
-            lambda: build_alltables(lake, db_parallel, IndexConfig(workers=workers))
-        )
-        if parallel_report.num_index_rows != index_rows:
-            raise AssertionError(
-                f"parallel build produced {parallel_report.num_index_rows} "
-                f"index rows, serial produced {index_rows}"
-            )
-        results[f"build_parallel_w{workers}"] = _phase(seconds, index_rows)
 
     # -- flush-path tokenisation: scalar loop vs batched kernel ---------------
     cells = [value for table in lake for row in table.rows for value in row]
@@ -225,17 +206,6 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
     fast = results.get("build_vectorized", {}).get("seconds")
     if build and fast:
         lines.append(f"build speedup: {build / fast:.1f}x")
-    parallel = [
-        (phase, numbers["seconds"])
-        for phase, numbers in results.items()
-        if phase.startswith("build_parallel_w")
-    ]
-    for phase, seconds in parallel:
-        if fast and seconds:
-            lines.append(
-                f"parallel build speedup ({phase[len('build_parallel_'):]}, "
-                f"{_available_cpus()} cpu available): {fast / seconds:.2f}x vs vectorized serial"
-            )
     norm_scalar, norm_kernel = (
         results.get("normalize_scalar", {}).get("seconds"),
         results.get("normalize", {}).get("seconds"),
@@ -257,12 +227,11 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -> str:
+def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
     """Hardware-independent parity smoke (``run_bench.py --check-only``):
-    assert the scalar oracle, the vectorised serial build, and the
-    sharded parallel build (both adaptive and pinned-pool scheduling)
-    produce byte-identical ``AllTables`` relations on a reduced-scale
-    lake, and that the batched ``normalize_tokens`` kernel matches the
+    assert the scalar oracle and the vectorised kernel produce
+    byte-identical ``AllTables`` relations on a reduced-scale lake, and
+    that the batched ``normalize_tokens`` kernel matches the
     per-cell ``normalize_cell`` oracle cell-for-cell over the same lake.
     No timing thresholds -- raises ``AssertionError`` on any divergence,
     returns a summary line otherwise.
@@ -278,11 +247,6 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
         "scalar": IndexConfig(vectorized=False),
         "vectorized": IndexConfig(vectorized=True),
     }
-    if workers:  # 0 disables the parallel pipelines, mirroring run_benchmark
-        configs[f"parallel_w{workers}"] = IndexConfig(workers=workers)
-        configs[f"parallel_w{workers}_pinned"] = IndexConfig(
-            workers=workers, pin_workers=True
-        )
     rows = {}
     for name, config in configs.items():
         db = Database(backend="column")
@@ -305,7 +269,6 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
 PHASES = (
     "build_scalar",
     "build_vectorized",
-    "build_parallel_w4",
     "normalize_scalar",
     "normalize",
     "ingest_rows",

@@ -1,15 +1,13 @@
 """The unified BLEND index: XASH super keys, Quadrant bits, the AllTables
 builder, lake statistics, and Table VIII storage accounting.
 
-The AllTables builder ships three byte-identical pipelines: the default
-**vectorised** fast path (per-flush token factorisation, batch XASH over
-unique tokens via ``xash_batch``, segmented super-key OR-reduction,
-quadrant bits from ``column_quadrant_matrix``, bulk ``insert_columns``
-appends), the **sharded parallel** build (``IndexConfig(workers=N)``:
-cell-balanced table shards fanned out over worker processes, shard
-outputs recoded into one global sorted dictionary and merged in
-table-id order), and the scalar cell-at-a-time reference
-(``IndexConfig(vectorized=False)``), retained as the test oracle.
+The AllTables builder runs one **vectorised** kernel for the bulk build
+and for incremental ``index_table`` / ``reindex_table`` alike (per-flush
+token factorisation, quadrant bits from ``column_quadrant_matrix``, one
+global sorted token dictionary hashed once with ``xash_batch``,
+segmented super-key OR-reduction, bulk ``insert_columns`` appends), and
+keeps the scalar cell-at-a-time reference
+(``IndexConfig(vectorized=False)``) as the test oracle.
 ``benchmarks/run_bench.py`` tracks the speedups in ``BENCH_index.json``.
 """
 

@@ -15,52 +15,42 @@ Quadrant (bool/NULL)  BLEND's reformulated QCR statistic
 Two in-database hash indexes (CellValue, TableId) provide fast value
 look-up and table loading. All seekers run as SQL over this one relation.
 
-Two build pipelines produce identical output:
+One vectorised kernel produces every row -- the bulk build and the
+incremental ``index_table`` / ``reindex_table`` alike:
 
-* the **vectorised** path (default): each table's cells are normalised
-  into arrays once, XASH runs over the table's *unique* tokens only
-  (:func:`repro.index.xash.xash_batch`) and is broadcast back with an
-  inverse index, super keys are OR-reduced per row with
-  ``np.bitwise_or.reduceat``, quadrant bits come from one matrix pass,
-  and the result is appended through the typed ``insert_columns`` bulk
-  API -- no per-cell Python dispatch anywhere on the hot path;
-* the **scalar** path (``IndexConfig(vectorized=False)``): the original
-  cell-at-a-time loop, kept as the reference oracle -- tests assert the
-  two produce byte-identical ``AllTables`` rows;
-* the **sharded parallel** path (``IndexConfig(workers=N)``): tables are
-  partitioned into cell-balanced contiguous shards, each shard runs
-  factorisation + batched XASH + the super-key fold in a worker process
-  (its own :class:`_FastFactorizer`), and shard outputs are merged
-  deterministically -- local token codes are recoded into one global
-  sorted dictionary (``np.unique`` union + ``np.searchsorted`` remap)
-  and bulk-appended through ``insert_columns``. Output is byte-identical
-  to the serial builds for any worker count. Scheduling is adaptive:
-  worker processes are only spawned up to the CPUs actually available
-  (``pin_workers=True`` forces the requested count), and when one CPU is
-  all there is the sharded pipeline runs in-process, hashing each unique
-  token once against the global dictionary instead of once per shard.
+* **encode**: tables are buffered in ~200k-cell flushes; each flush
+  factorises its cells into token codes (:class:`_FastFactorizer`: one
+  C-level ``map`` over a value memo), takes quadrant bits from one
+  matrix pass per table (:func:`column_quadrant_matrix`), and lays out
+  the id columns plus the (table, row) segment starts of the super-key
+  fold (:func:`_encode_part`);
+* **merge**: every flush's first-seen token list is recoded into one
+  global sorted dictionary (a single ``np.unique(..., return_inverse)``
+  over all parts), XASH runs once over that dictionary
+  (:func:`repro.index.xash.xash_batch`), super keys are OR-reduced per
+  row with ``np.bitwise_or.reduceat``, and each part is bulk-appended
+  through the typed ``insert_columns`` API.
+
+The scalar path (``IndexConfig(vectorized=False)``) is the original
+cell-at-a-time loop, kept as the reference oracle: tests assert the two
+produce byte-identical ``AllTables`` rows.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import multiprocessing
-import os
 import random
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..engine.database import Database
 from ..engine.storage.column_store import DictEncodedText
 from ..errors import IndexingError
-from ..lake.datalake import DataLake, LakeShard
+from ..lake.datalake import DataLake
 from ..lake.table import normalize_cell, normalize_tokens
-from .quadrant import column_means, column_quadrant_matrix, column_quadrant_matrix_fast, quadrant_bit
+from .quadrant import column_means, column_quadrant_matrix, quadrant_bit
 from .xash import (
     DEFAULT_HASH_SIZE,
     DEFAULT_NUM_CHARS,
@@ -78,7 +68,8 @@ ALLTABLES_SCHEMA = [
     ("Quadrant", "boolean"),
 ]
 
-# Bulk-ingest flush threshold (index rows buffered before insert_columns).
+# Flush threshold: cells per encoded part of the vectorised kernel, and
+# index rows buffered per insert of the scalar oracle.
 _FLUSH_ROWS = 200_000
 
 
@@ -106,16 +97,11 @@ class IndexConfig:
 
     ``hash_size`` > 63 (MATE's 128-bit XASH variant) only fits the row
     backend -- the column store's ``SuperKey`` column is int64, and all
-    build pipelines reject the combination up front.
+    build paths reject the combination up front.
 
-    ``workers`` selects the sharded parallel build: ``None`` (default)
-    keeps the serial vectorised pipeline, ``N >= 1`` partitions the lake
-    into cell-balanced shards and fans them out over worker processes.
-    The output is byte-identical for every setting. By default the
-    process count is clamped to the CPUs this process may actually use
-    (spawning more just adds IPC); ``pin_workers=True`` forces exactly
-    ``workers`` processes -- tests use it to exercise the pool on any
-    machine.
+    ``vectorized`` picks the build: the vectorised kernel (default) or
+    the scalar cell-at-a-time oracle. Both produce byte-identical
+    ``AllTables`` rows.
     """
 
     table_name: str = "AllTables"
@@ -126,8 +112,6 @@ class IndexConfig:
     build_value_index: bool = True
     build_table_index: bool = True
     vectorized: bool = True  # False: scalar reference path (test oracle)
-    workers: Optional[int] = None  # N >= 1: sharded multiprocess build
-    pin_workers: bool = False  # force exactly `workers` processes
     # Semantic extension: build AllVectors + the HNSW alongside AllTables,
     # so build/load/shard paths configure it uniformly (SS and HY seekers
     # need it). Blend.enable_semantic() flips this on after the fact.
@@ -168,7 +152,6 @@ def build_alltables(
             "drop it or index into a fresh database"
         )
     _check_hash_width(config, db)
-    _check_workers(config)
     db.create_table(config.table_name, ALLTABLES_SCHEMA)
     # The offline build emits rows in (TableId, RowId, ColumnId) order;
     # declaring it as the clustering order lets storage compaction (after
@@ -176,10 +159,8 @@ def build_alltables(
     # what makes compacted storage byte-identical to a fresh build.
     db.set_cluster_keys(config.table_name, ("TableId", "RowId", "ColumnId"))
 
-    if config.workers is not None:
-        null_cells = _ingest_sharded(lake, db, config)
-    elif config.vectorized:
-        null_cells = _ingest_vectorized(lake, db, config)
+    if config.vectorized:
+        null_cells = _merge_and_insert(db, config, _encode_tables(lake.items(), config))
     else:
         null_cells = _ingest_scalar(lake, db, config)
 
@@ -208,33 +189,17 @@ def _check_hash_width(config: IndexConfig, db: Database) -> None:
         )
 
 
-def _check_workers(config: IndexConfig) -> None:
-    """Reject unusable worker settings up front."""
-    if config.workers is None:
-        return
-    if config.workers < 1:
-        raise IndexingError(
-            f"IndexConfig.workers must be >= 1 (or None for the serial "
-            f"build), got {config.workers}"
-        )
-    if not config.vectorized:
-        raise IndexingError(
-            "IndexConfig(workers=...) requires the vectorized pipeline; "
-            "the scalar reference path is serial by definition"
-        )
-
-
 # --------------------------------------------------------------------------
-# Vectorised pipeline
+# Vectorised kernel
 # --------------------------------------------------------------------------
 
 
 class _TableParts:
     """Pre-hash arrays of one lake table: per-cell token codes and
     quadrant bits, full cell-matrix length (nulls still in place, coded
-    ``-1``). Token resolution and hashing are deferred to flush time so
-    XASH and the dictionary sort run once per ~200k-cell buffer rather
-    than once per table."""
+    ``-1``). Token resolution and hashing are deferred to the merge so
+    XASH and the dictionary sort run once per build rather than once per
+    table."""
 
     __slots__ = ("table_id", "codes", "quadrant", "num_rows", "num_cols")
 
@@ -246,94 +211,19 @@ class _TableParts:
         self.num_cols = num_cols
 
 
-class _TokenFactorizer:
-    """Streaming cell -> token-code factorisation (one dict probe per cell).
-
-    ``value_code`` memoises whole cell values (hit for every repeated
-    cell, the common case in skewed lake distributions); ``tokens`` grows
-    in first-seen order and is sorted once per flush. NULL-normalising
-    cells code to ``-1``. Booleans are special-cased up front: ``True ==
-    1`` and ``False == 0`` in Python, so they must never share memo slots
-    with the numbers they compare equal to.
-    """
-
-    __slots__ = ("value_code", "token_code", "tokens", "numeric_memo")
-
-    # How this factorizer computes the Quadrant matrix (the sharded
-    # pipeline's :class:`_FastFactorizer` overrides with the vectorised
-    # per-column variant; both are bit-identical by contract).
-    quadrant_matrix = staticmethod(column_quadrant_matrix)
-
-    def __init__(self) -> None:
-        self.value_code: dict = {}
-        self.token_code: dict = {}
-        self.tokens: list[str] = []
-        self.numeric_memo: dict = {}  # numeric_value cache for quadrants
-
-    def factorize(self, rows, n_cells: int) -> np.ndarray:
-        """Row-major int32 code array for all cells of *rows*."""
-        value_code = self.value_code
-        get = value_code.get
-        out: list[int] = []
-        append = out.append
-        true_code = false_code = None
-        for row in rows:
-            for value in row:
-                if value is None:
-                    append(-1)
-                elif value is True:
-                    if true_code is None:
-                        true_code = self._token_code("true")
-                    append(true_code)
-                elif value is False:
-                    if false_code is None:
-                        false_code = self._token_code("false")
-                    append(false_code)
-                else:
-                    code = get(value)
-                    if code is None:
-                        token = normalize_cell(value)
-                        code = -1 if token is None else self._token_code(token)
-                        value_code[value] = code
-                    append(code)
-        codes = np.empty(n_cells, dtype=np.int32)
-        codes[:] = out
-        return codes
-
-    def _token_code(self, token: str) -> int:
-        code = self.token_code.get(token)
-        if code is None:
-            code = len(self.tokens)
-            self.token_code[token] = code
-            self.tokens.append(token)
-        return code
-
-    def factorize_tokens(self, tokens, n_cells: int) -> np.ndarray:
-        """:meth:`factorize` fed pre-normalised tokens (a
-        ``Table.normalized_cells`` cache): skips the per-cell
-        ``normalize_cell`` scalar loop. Identical codes by construction
-        -- first-seen token order equals first-seen raw-value token
-        order, and ``_token_code`` assigns codes off exactly that order
-        in both paths."""
-        token_code = self._token_code
-        out = np.empty(n_cells, dtype=np.int32)
-        out[:] = [-1 if t is None else token_code(t) for t in tokens]
-        return out
-
-
 class _ValueMemo(dict):
     """Cell-value -> token-code memo whose miss logic lives in
     ``__missing__``, so a whole flush factorises as one C-level
     ``map(memo.__getitem__, cells)`` with the interpreter entered only on
     first-seen values.
 
-    Bit-identical to :class:`_TokenFactorizer` coding by construction:
-    NULL is pre-seeded to ``-1``, and the Python bool/int duality
-    (``True == 1``, ``False == 0``) is handled by *exclusion* -- no value
-    comparing equal to 0 or 1 is ever memoised, so a bulk lookup can
-    never serve ``True`` the code of ``1`` (or vice versa); all such
-    cells take the miss path every time, where identity checks pick the
-    right token.
+    Codes follow first-seen token order and agree with
+    :func:`normalize_cell` cell for cell: NULL is pre-seeded to ``-1``,
+    and the Python bool/int duality (``True == 1``, ``False == 0``) is
+    handled by *exclusion* -- no value comparing equal to 0 or 1 is ever
+    memoised, so a bulk lookup can never serve ``True`` the code of ``1``
+    (or vice versa); all such cells take the miss path every time, where
+    identity checks pick the right token.
     """
 
     __slots__ = ("token_code", "tokens")
@@ -385,16 +275,13 @@ class _TokenMemo(dict):
 
 
 class _FastFactorizer:
-    """The sharded pipeline's factoriser: same duck type as
-    :class:`_TokenFactorizer` (``tokens`` / ``numeric_memo`` /
-    ``factorize`` / ``quadrant_matrix``), with the per-cell interpreter
-    loop replaced by a flat ``itertools.chain`` flatten plus one
-    ``map`` over :class:`_ValueMemo`, and the vectorised per-column
-    Quadrant pass."""
+    """Cell -> token-code factorisation of one flush: a flat
+    ``itertools.chain`` flatten plus one ``map`` over
+    :class:`_ValueMemo`. ``tokens`` is the flush's token list in
+    first-seen order; ``numeric_memo`` caches ``numeric_value`` for the
+    quadrant pass."""
 
     __slots__ = ("memo", "numeric_memo", "_token_memo")
-
-    quadrant_matrix = staticmethod(column_quadrant_matrix_fast)
 
     def __init__(self) -> None:
         self.memo = _ValueMemo()
@@ -406,54 +293,34 @@ class _FastFactorizer:
         return self.memo.tokens
 
     def factorize(self, rows, n_cells: int) -> np.ndarray:
+        """Row-major int32 code array for all cells of *rows*."""
         codes = np.array(
             list(map(self.memo.__getitem__, chain.from_iterable(rows))),
             dtype=np.int32,
         )
         if len(codes) != n_cells:  # pragma: no cover - Table guarantees width
-            raise IndexingError("ragged rows in shard factorisation")
+            raise IndexingError("ragged rows in factorisation")
         return codes
 
     def factorize_tokens(self, tokens, n_cells: int) -> np.ndarray:
-        """:meth:`factorize` over pre-normalised tokens (see
-        ``_TokenFactorizer.factorize_tokens``); codes come from the same
-        shared registry, so mixing both paths within a flush is safe."""
+        """:meth:`factorize` over pre-normalised tokens (a
+        ``Table.normalized_cells`` cache), skipping the per-cell
+        ``normalize_cell`` call; codes come from the same registry, so
+        mixing both inputs within a flush is safe."""
         if self._token_memo is None:
             self._token_memo = _TokenMemo(self.memo)
         codes = np.array(
             list(map(self._token_memo.__getitem__, tokens)), dtype=np.int32
         )
         if len(codes) != n_cells:  # pragma: no cover - Table guarantees width
-            raise IndexingError("ragged token cache in shard factorisation")
+            raise IndexingError("ragged token cache in factorisation")
         return codes
-
-
-def _ingest_vectorized(lake: DataLake, db: Database, config: IndexConfig) -> int:
-    null_cells = 0
-    buffer: list[_TableParts] = []
-    buffered = 0
-    factorizer = _TokenFactorizer()
-    for table_id, table in lake.items():
-        perm: Optional[list[int]] = None
-        if config.shuffle_rows:
-            perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
-        parts = _table_parts(table_id, table, factorizer, perm)
-        if parts is not None:
-            buffer.append(parts)
-            buffered += len(parts.codes)
-        if buffered >= _FLUSH_ROWS:
-            null_cells += _hash_and_insert(db, config, buffer, factorizer)[1]
-            buffer, buffered = [], 0
-            factorizer = _TokenFactorizer()
-    if buffer:
-        null_cells += _hash_and_insert(db, config, buffer, factorizer)[1]
-    return null_cells
 
 
 def _table_parts(
     table_id: int,
     table,
-    factorizer: _TokenFactorizer,
+    factorizer: _FastFactorizer,
     perm: Optional[list[int]] = None,
 ) -> Optional[_TableParts]:
     """Normalise one lake table into flat code arrays (row-major emission
@@ -463,7 +330,7 @@ def _table_parts(
     if n_cells == 0:
         return None
 
-    _, quad = factorizer.quadrant_matrix(table, factorizer.numeric_memo)
+    _, quad = column_quadrant_matrix(table, factorizer.numeric_memo)
     if perm is not None:
         quad = quad[np.asarray(perm, dtype=np.int64)]
 
@@ -494,18 +361,15 @@ def _table_parts(
     return _TableParts(table_id, codes, quad.reshape(-1), n_rows, n_cols)
 
 
-class _ShardPart:
+class _EncodedPart:
     """One flush buffer, encoded and ready to merge.
 
     All arrays are aligned on the part's non-null cells in emission order
     (row-major within each table, tables in id order). ``codes`` index
-    into the part-local sorted ``tokens`` dictionary; the merge recodes
-    them into the global dictionary. ``super_keys`` is per-cell and
-    either already folded (pool mode hashes inside the worker) or
-    ``None`` with ``row_starts`` marking the (table, row) segments so the
-    fold can run after the global dictionary is hashed once (in-process
-    mode). Plain slots of NumPy arrays: cheap to pickle back from worker
-    processes.
+    into the part-local ``tokens`` list (first-seen order); the merge
+    recodes them into the global sorted dictionary. ``row_starts`` marks
+    the (table, row) segments, so the super-key fold runs once the global
+    dictionary has been hashed.
     """
 
     __slots__ = (
@@ -515,66 +379,39 @@ class _ShardPart:
         "column_ids",
         "row_ids",
         "quadrant",
-        "super_keys",
         "row_starts",
         "null_count",
     )
 
     def __init__(self, codes, tokens, table_ids, column_ids, row_ids, quadrant,
-                 super_keys, row_starts, null_count):
+                 row_starts, null_count):
         self.codes = codes
         self.tokens = tokens
         self.table_ids = table_ids
         self.column_ids = column_ids
         self.row_ids = row_ids
         self.quadrant = quadrant
-        self.super_keys = super_keys
         self.row_starts = row_starts
         self.null_count = null_count
 
 
-def _encode_part(
-    buffer: list[_TableParts],
-    factorizer,
-    hash_size: int,
-    xash_chars: int,
-    hash_now: bool,
-    sort_tokens: bool = True,
-) -> Optional[_ShardPart]:
-    """Encode one buffered batch of tables into a :class:`_ShardPart`.
+def _encode_part(buffer: list[_TableParts], factorizer: _FastFactorizer) -> _EncodedPart:
+    """Encode one buffered batch of tables into a :class:`_EncodedPart`.
 
-    With ``sort_tokens`` the batch's first-seen token list is sorted into
-    dictionary order and the per-cell codes remapped through the
-    permutation (the serial flush, where the part dictionary is stored
-    as-is); sharded parts skip the local sort -- the merge recodes them
-    against the globally sorted dictionary anyway, and ``searchsorted``
-    does not care whether its probe side is sorted. The id/quadrant
-    columns are laid out filtered by the batch-wide non-null mask. With
-    ``hash_now`` XASH runs over the batch's unique tokens and super keys
-    are OR-reduced per (table, row) segment in one ``reduceat``;
-    otherwise the segment starts are kept so the fold can run against
-    globally-hashed tokens at merge time. All-null batches yield a part
-    whose array fields are ``None`` (only the NULL count survives).
+    The id/quadrant columns are laid out filtered by the batch-wide
+    non-null mask, and the (table, row) segment starts are kept for the
+    super-key fold at merge time. All-null batches yield a part whose
+    array fields are ``None`` (only the NULL count survives).
     """
     raw_codes = _concat([parts.codes for parts in buffer])
     quadrant = _concat([parts.quadrant for parts in buffer])
     non_null = raw_codes >= 0
     null_count = len(raw_codes) - int(non_null.sum())
     if null_count == len(raw_codes):
-        return _ShardPart(None, None, None, None, None, None, None, None, null_count)
+        return _EncodedPart(None, None, None, None, None, None, None, null_count)
 
     tokens = np.empty(len(factorizer.tokens), dtype=object)
     tokens[:] = factorizer.tokens
-    cell_codes = raw_codes[non_null]
-    if sort_tokens:
-        order = np.argsort(tokens)
-        sorted_tokens = tokens[order]
-        remap = np.empty(len(tokens), dtype=np.int32)
-        remap[order] = np.arange(len(tokens), dtype=np.int32)
-        final_codes = remap[cell_codes]
-    else:
-        sorted_tokens = tokens  # first-seen order; the merge recodes
-        final_codes = cell_codes
 
     # Per-table id columns, filtered by the buffer-wide non-null mask.
     column_ids = _concat(
@@ -604,74 +441,85 @@ def _encode_part(
     global_rows = (row_ids_full + np.repeat(offsets, cells_per_table))[non_null]
     total_rows = int(offsets[-1]) + buffer[-1].num_rows
     counts = np.bincount(global_rows, minlength=total_rows)
-    occupied = counts > 0
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[occupied]
-    seg_counts = counts[occupied]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[counts > 0]
 
-    part = _ShardPart(
-        final_codes,
-        sorted_tokens,
+    return _EncodedPart(
+        raw_codes[non_null],
+        tokens,
         table_ids,
         column_ids,
         row_ids_full[non_null],
         quadrant[non_null],
-        None,
         starts.astype(np.int64),
         null_count,
     )
-    if hash_now:
-        unique_hashes = xash_batch(sorted_tokens.tolist(), hash_size, xash_chars)
-        part.super_keys = np.repeat(segmented_or(unique_hashes[final_codes], starts), seg_counts)
-        part.row_starts = None
-    return part
 
 
-def _fold_super_keys(part: _ShardPart, cell_hashes: np.ndarray) -> np.ndarray:
-    """Per-cell super keys from a deferred part's segment layout."""
-    seg = segmented_or(cell_hashes, part.row_starts)
-    seg_counts = np.diff(np.append(part.row_starts, len(part.codes)))
-    return np.repeat(seg, seg_counts)
+def _encode_tables(tables: Iterable[tuple], config: IndexConfig) -> list[_EncodedPart]:
+    """Factorise + quadrant every ``(table_id, table)`` in id order,
+    flushing an encoded part every ``_FLUSH_ROWS`` cells (tables are
+    buffered whole). Each flush gets a fresh factoriser, so a part's
+    token list only holds that part's tokens."""
+    parts: list[_EncodedPart] = []
+    factorizer = _FastFactorizer()
+    buffer: list[_TableParts] = []
+    buffered = 0
+    for table_id, table in tables:
+        perm = None
+        if config.shuffle_rows:
+            perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
+        table_parts = _table_parts(table_id, table, factorizer, perm)
+        if table_parts is not None:
+            buffer.append(table_parts)
+            buffered += len(table_parts.codes)
+        if buffered >= _FLUSH_ROWS:
+            parts.append(_encode_part(buffer, factorizer))
+            buffer, buffered = [], 0
+            factorizer = _FastFactorizer()
+    if buffer:
+        parts.append(_encode_part(buffer, factorizer))
+    return parts
 
 
-def _insert_part(
-    db: Database,
-    config: IndexConfig,
-    part: _ShardPart,
-    codes: np.ndarray,
-    dictionary: np.ndarray,
-    super_keys: np.ndarray,
-) -> int:
-    """Bulk-append one encoded part; the sorted *dictionary* doubles as
-    the CellValue dictionary, so the store skips its own np.unique pass."""
-    return db.insert_columns(
-        config.table_name,
-        [
-            (DictEncodedText(codes, dictionary), None),
-            (part.table_ids, None),
-            (part.column_ids, None),
-            (part.row_ids, None),
-            (super_keys, None),
-            (part.quadrant, None),
-        ],
-    )
-
-
-def _hash_and_insert(
-    db: Database,
-    config: IndexConfig,
-    buffer: list[_TableParts],
-    factorizer: _TokenFactorizer,
-) -> tuple[int, int]:
-    """Hash one buffered batch of tables and bulk-append it (the serial
-    vectorised flush). XASH runs over the batch's *unique* tokens only
-    and is broadcast back through the cell code array. Returns
-    ``(rows_inserted, null_cells)``.
+def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_EncodedPart]) -> int:
+    """Deterministic merge: recode every part's local token codes into
+    one global sorted dictionary (one ``np.unique`` with
+    ``return_inverse`` over all parts' token lists, sliced per part),
+    hash that dictionary once, fold super keys per row and bulk-append
+    the parts in order. Every part shares the single global dictionary
+    object, so the column store's incremental seal concatenates code
+    arrays without re-deriving a union. Returns the total NULL-cell
+    count.
     """
-    part = _encode_part(buffer, factorizer, config.hash_size, config.xash_chars, hash_now=True)
-    if part.codes is None:
-        return 0, part.null_count
-    inserted = _insert_part(db, config, part, part.codes, part.tokens, part.super_keys)
-    return inserted, part.null_count
+    null_cells = sum(part.null_count for part in parts)
+    live = [part for part in parts if part.codes is not None]
+    if not live:
+        return null_cells
+    global_dict, inverse = np.unique(
+        _concat([part.tokens for part in live]), return_inverse=True
+    )
+    inverse = inverse.reshape(-1).astype(np.int32)
+    global_hashes = xash_batch(global_dict.tolist(), config.hash_size, config.xash_chars)
+    offset = 0
+    for part in live:
+        codes = inverse[offset:offset + len(part.tokens)][part.codes]
+        offset += len(part.tokens)
+        seg = segmented_or(global_hashes[codes], part.row_starts)
+        super_keys = np.repeat(seg, np.diff(np.append(part.row_starts, len(codes))))
+        db.insert_columns(
+            config.table_name,
+            [
+                # The sorted global dictionary doubles as the CellValue
+                # dictionary, so the store skips its own np.unique pass.
+                (DictEncodedText(codes, global_dict), None),
+                (part.table_ids, None),
+                (part.column_ids, None),
+                (part.row_ids, None),
+                (super_keys, None),
+                (part.quadrant, None),
+            ],
+        )
+    return null_cells
 
 
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -679,244 +527,47 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Sharded parallel pipeline (IndexConfig(workers=N))
-# --------------------------------------------------------------------------
-
-# Shards per worker process: finer than the pool so a skewed shard does
-# not leave the other workers idle at the tail of the build.
-_SHARDS_PER_WORKER = 2
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """One picklable unit of shard work sent to a worker process."""
-
-    shard: LakeShard
-    shuffle_seed: Optional[int]  # per-table seeded shuffle, None = no shuffle
-    hash_size: int
-    xash_chars: int
-    hash_in_worker: bool  # False: defer XASH to the global merge
-
-
-def _shard_worker(task: _ShardTask) -> list[_ShardPart]:
-    """Process one shard: factorise + quadrant every table, flush into
-    encoded parts. Runs in a worker process in pool mode (hashing its
-    parts locally) and inline for the single-CPU degradation (hashing
-    deferred to the merge, where the global dictionary is hashed once).
-    """
-    if task.hash_in_worker and os.environ.get("REPRO_INDEX_WORKER_CRASH"):
-        # Test hook: simulate a hard worker death. Gated on pool mode so
-        # the inline degradation path can never exit the main process.
-        os._exit(17)
-    parts: list[_ShardPart] = []
-    factorizer = _FastFactorizer()
-    buffer: list[_TableParts] = []
-    buffered = 0
-    for offset, table in enumerate(task.shard.tables):
-        table_id = task.shard.table_ids[offset]
-        perm = None
-        if task.shuffle_seed is not None:
-            # Per-table seeded permutation: derivable inside any worker
-            # from the stable table id alone, no shared rng to thread
-            # through the fan-out.
-            perm = shuffle_permutation(task.shuffle_seed, table_id, table.num_rows)
-        table_parts = _table_parts(table_id, table, factorizer, perm)
-        if table_parts is not None:
-            buffer.append(table_parts)
-            buffered += len(table_parts.codes)
-        if buffered >= _FLUSH_ROWS:
-            parts.append(
-                _encode_part(
-                    buffer, factorizer, task.hash_size, task.xash_chars,
-                    task.hash_in_worker, sort_tokens=False,
-                )
-            )
-            buffer, buffered = [], 0
-            factorizer = _FastFactorizer()
-    if buffer:
-        parts.append(
-            _encode_part(
-                buffer, factorizer, task.hash_size, task.xash_chars,
-                task.hash_in_worker, sort_tokens=False,
-            )
-        )
-    return parts
-
-
-def _ingest_sharded(lake: DataLake, db: Database, config: IndexConfig) -> int:
-    """Shard the lake, fan the shards out, merge deterministically.
-
-    Shuffle permutations are seeded per table id
-    (:func:`shuffle_permutation`), so every worker derives its own
-    tables' permutations locally. Shard outputs are merged in table-id
-    order, which makes the result byte-identical to the serial
-    vectorised build for any worker count.
-    """
-    shuffle_seed = config.shuffle_seed if config.shuffle_rows else None
-    workers = _effective_workers(config)
-    if workers <= 1 or len(lake) <= 1:
-        # Single-CPU (or single-table) degradation: same sharded pipeline
-        # inline -- no IPC, and XASH runs once over the merged global
-        # dictionary instead of once per shard.
-        task = _ShardTask(
-            lake.shard(0, len(lake)),
-            shuffle_seed,
-            config.hash_size,
-            config.xash_chars,
-            hash_in_worker=False,
-        )
-        parts = _shard_worker(task)
-    else:
-        tasks = [
-            _ShardTask(shard, shuffle_seed, config.hash_size, config.xash_chars, True)
-            for shard in lake.shard_plan(workers * _SHARDS_PER_WORKER)
-        ]
-        parts = _run_shard_tasks(tasks, workers)
-    return _merge_and_insert(db, config, parts)
-
-
-def _run_shard_tasks(tasks: list[_ShardTask], workers: int) -> list[_ShardPart]:
-    """Fan shard tasks out over the shared worker pool, preserving shard
-    order. A worker that dies (OOM-kill, segfault, ``os._exit``) breaks
-    the pool: that surfaces as an :class:`IndexingError` naming the
-    cause, never a hang, and the poisoned pool is discarded so the next
-    build starts fresh. Ordinary worker exceptions propagate unchanged.
-    """
-    pool = _shared_pool(workers)
-    futures = [pool.submit(_shard_worker, task) for task in tasks]
-    parts: list[_ShardPart] = []
-    try:
-        for future in futures:
-            parts.extend(future.result())
-    except BrokenProcessPool as exc:
-        _discard_pool(workers)
-        raise IndexingError(
-            "parallel AllTables build aborted: a shard worker process died "
-            f"({exc}); the worker pool was discarded -- rerun, or fall back "
-            "to the serial build with IndexConfig(workers=None)"
-        ) from exc
-    finally:
-        for future in futures:
-            future.cancel()
-    return parts
-
-
-def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_ShardPart]) -> int:
-    """Deterministic merge: recode every part's local token codes into
-    one global sorted dictionary (sorted-unique union + vectorised
-    ``np.searchsorted`` remap) and bulk-append the parts in shard order.
-    Every part shares the single global dictionary object, so the column
-    store's incremental seal concatenates code arrays without re-deriving
-    a union. Returns the total NULL-cell count.
-    """
-    null_cells = sum(part.null_count for part in parts)
-    live = [part for part in parts if part.codes is not None]
-    if not live:
-        return null_cells
-    dictionaries = [part.tokens for part in live]
-    global_dict = np.unique(
-        dictionaries[0] if len(dictionaries) == 1 else np.concatenate(dictionaries)
-    )
-    global_hashes = None
-    if any(part.super_keys is None for part in live):
-        global_hashes = xash_batch(global_dict.tolist(), config.hash_size, config.xash_chars)
-    for part in live:
-        remap = np.searchsorted(global_dict, part.tokens).astype(np.int32)
-        codes = remap[part.codes]
-        super_keys = part.super_keys
-        if super_keys is None:
-            super_keys = _fold_super_keys(part, global_hashes[codes])
-        _insert_part(db, config, part, codes, global_dict, super_keys)
-    return null_cells
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def _effective_workers(config: IndexConfig) -> int:
-    """Adaptive worker count: processes beyond the available CPUs only
-    add IPC and memory, so the requested count is clamped unless the
-    caller pins it."""
-    if config.pin_workers:
-        return config.workers
-    return max(1, min(config.workers, _available_cpus()))
-
-
-# Long-lived worker pools, keyed by size. Builds are frequent and short
-# (every lake [re]index), so pool spawn cost is paid once per process,
-# not once per build; atexit tears the pools down.
-_POOLS: dict[int, concurrent.futures.ProcessPoolExecutor] = {}
-
-
-def _mp_context():
-    """Prefer fork where the platform offers it (no re-import cost in
-    workers); otherwise the platform default (spawn)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _shared_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=_mp_context()
-        )
-        _POOLS[workers] = pool
-    return pool
-
-
-def _discard_pool(workers: int) -> None:
-    pool = _POOLS.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _shutdown_pools() -> None:
-    while _POOLS:
-        _, pool = _POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(_shutdown_pools)
-
-
-# --------------------------------------------------------------------------
 # Scalar reference pipeline (the seed implementation, kept as test oracle)
 # --------------------------------------------------------------------------
+
+
+def _scalar_rows(table_id: int, table, config: IndexConfig) -> tuple[list[tuple], int]:
+    """One table's ``AllTables`` rows, cell at a time, plus its NULL-cell
+    count -- the oracle shared by the scalar build and ``index_table``."""
+    means = column_means(table)
+    rows = list(table.rows)
+    if config.shuffle_rows:
+        perm = shuffle_permutation(config.shuffle_seed, table_id, len(rows))
+        rows = [rows[i] for i in perm]
+    index_rows: list[tuple] = []
+    null_cells = 0
+    for row_id, row in enumerate(rows):
+        row_super_key = super_key(row, config.hash_size, config.xash_chars)
+        for column_id, value in enumerate(row):
+            token = normalize_cell(value)
+            if token is None:
+                null_cells += 1
+                continue
+            index_rows.append(
+                (
+                    token,
+                    table_id,
+                    column_id,
+                    row_id,
+                    row_super_key,
+                    quadrant_bit(value, means[column_id]),
+                )
+            )
+    return index_rows, null_cells
 
 
 def _ingest_scalar(lake: DataLake, db: Database, config: IndexConfig) -> int:
     index_rows: list[tuple] = []
     null_cells = 0
     for table_id, table in lake.items():
-        means = column_means(table)
-        rows = list(table.rows)
-        if config.shuffle_rows:
-            perm = shuffle_permutation(config.shuffle_seed, table_id, len(rows))
-            rows = [rows[i] for i in perm]
-        for row_id, row in enumerate(rows):
-            row_super_key = super_key(row, config.hash_size, config.xash_chars)
-            for column_id, value in enumerate(row):
-                token = normalize_cell(value)
-                if token is None:
-                    null_cells += 1
-                    continue
-                index_rows.append(
-                    (
-                        token,
-                        table_id,
-                        column_id,
-                        row_id,
-                        row_super_key,
-                        quadrant_bit(value, means[column_id]),
-                    )
-                )
+        table_rows, table_nulls = _scalar_rows(table_id, table, config)
+        index_rows.extend(table_rows)
+        null_cells += table_nulls
         # Flush per table to bound peak memory on large lakes.
         if len(index_rows) >= _FLUSH_ROWS:
             db.insert(config.table_name, index_rows)
@@ -952,51 +603,24 @@ def index_table(
     The single-relation design is what makes maintenance this simple
     (paper §V: heterogeneous per-system indexes are the alternative) --
     appending a table is a plain INSERT; the in-database hash indexes
-    absorb the new rows. Uses the same vectorised chunk builder as
-    ``build_alltables`` (or the scalar loop under
-    ``IndexConfig(vectorized=False)``). Returns the number of index rows
-    added.
+    absorb the new rows. Runs the same vectorised kernel as
+    ``build_alltables`` (or the scalar oracle under
+    ``IndexConfig(vectorized=False)``), so the appended rows are exactly
+    those a from-scratch build assigns the table. Returns the number of
+    index rows added.
     """
     _check_maintenance(db, config)
-    perm: Optional[list[int]] = None
-    if config.shuffle_rows:
-        # Same per-table seeded permutation a from-scratch build assigns.
-        perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
-    if config.vectorized:
-        # Populate the table's normalized-token cache: this maintenance
-        # path handles one table at a time (memory is bounded), and
-        # ``Blend.add_table`` feeds the same object to the statistics
-        # update right after -- caching here halves its normalisation
-        # work, and a later ``replace_table``/re-add skips it entirely.
-        if hasattr(table, "normalized_cells"):
-            table.normalized_cells()
-        factorizer = _TokenFactorizer()
-        parts = _table_parts(table_id, table, factorizer, perm)
-        if parts is None:
-            return 0
-        return _hash_and_insert(db, config, [parts], factorizer)[0]
-    means = column_means(table)
-    table_rows = list(table.rows)
-    if perm is not None:
-        table_rows = [table_rows[i] for i in perm]
-    rows: list[tuple] = []
-    for row_id, row in enumerate(table_rows):
-        row_super_key = super_key(row, config.hash_size, config.xash_chars)
-        for column_id, value in enumerate(row):
-            token = normalize_cell(value)
-            if token is None:
-                continue
-            rows.append(
-                (
-                    token,
-                    table_id,
-                    column_id,
-                    row_id,
-                    row_super_key,
-                    quadrant_bit(value, means[column_id]),
-                )
-            )
-    return db.insert(config.table_name, rows)
+    if not config.vectorized:
+        return db.insert(config.table_name, _scalar_rows(table_id, table, config)[0])
+    # Populate the table's normalized-token cache: this maintenance path
+    # handles one table at a time (memory is bounded), and
+    # ``Blend.add_table`` feeds the same object to the statistics update
+    # right after -- caching here halves its normalisation work, and a
+    # later ``replace_table``/re-add skips it entirely.
+    if hasattr(table, "normalized_cells"):
+        table.normalized_cells()
+    null_cells = _merge_and_insert(db, config, _encode_tables([(table_id, table)], config))
+    return table.num_rows * table.num_columns - null_cells
 
 
 def deindex_table(

@@ -58,44 +58,16 @@ def quadrant_bit(value: Cell, mean: Optional[float]) -> Optional[bool]:
 _MISSING = object()
 
 
-def column_quadrant_matrix(
-    table: Table, memo: Optional[dict] = None
-) -> tuple[list[Optional[float]], np.ndarray]:
-    """Vectorised ``column_means`` + ``quadrant_bit`` over a whole table.
-
-    Returns ``(means, bits)`` where *bits* is a ``num_rows x num_columns``
-    ``int8`` matrix holding the Quadrant column entries in storage form
-    (``-1`` NULL, else 0/1). Bit-identical to calling the scalar functions
-    per cell: numeric cells are extracted once per column, the mean uses
-    the same sequential float summation as :func:`column_means`, and the
-    comparison ``value >= mean`` runs as one array op.
-
-    *memo* optionally caches ``numeric_value`` per distinct cell value
-    across calls (``numeric_value`` is pure). Booleans bypass it --
-    ``True == 1`` would otherwise alias their dict slots.
-    """
-    flags = table.numeric_columns()
-    n_rows, n_cols = table.num_rows, table.num_columns
-    means: list[Optional[float]] = []
-    bits = np.full((n_rows, n_cols), -1, dtype=np.int8)
-    rows = table.rows
-    if memo is None:
-        memo = {}
-    for position in range(n_cols):
-        if not flags[position]:
-            means.append(None)
-            continue
-        values, is_none = _column_numeric_values(rows, position, n_rows, memo)
-        _fill_column_bits(bits, position, values, is_none, n_rows, means)
-    return means, bits
-
-
 def _column_numeric_values(
     rows, position: int, n_rows: int, memo: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """``numeric_value`` of one column as ``(values, is_none)`` arrays
-    (NaN at excluded positions) -- the scalar per-cell extraction, shared
-    by both quadrant-matrix builders."""
+    (NaN at excluded positions) -- the scalar per-cell extraction that
+    :func:`column_quadrant_matrix` falls back to.
+
+    *memo* caches ``numeric_value`` per distinct cell value (the function
+    is pure). Booleans bypass it -- ``True == 1`` would otherwise alias
+    their dict slots."""
     memo_get = memo.get
     values = np.empty(n_rows, dtype=np.float64)
     is_none = np.zeros(n_rows, dtype=bool)
@@ -125,7 +97,7 @@ def _fill_column_bits(
     means: list,
 ) -> None:
     """Mean + quadrant bits of one extracted column, appended/written in
-    place (shared tail of both quadrant-matrix builders)."""
+    place."""
     count = n_rows - int(is_none.sum())
     if count == 0:
         means.append(None)
@@ -139,18 +111,24 @@ def _fill_column_bits(
     bits[:, position] = column_bits
 
 
-def column_quadrant_matrix_fast(
+def column_quadrant_matrix(
     table: Table, memo: Optional[dict] = None
 ) -> tuple[list[Optional[float]], np.ndarray]:
-    """:func:`column_quadrant_matrix` with vectorised per-column numeric
-    extraction -- the sharded index pipeline's variant.
+    """Vectorised ``column_means`` + ``quadrant_bit`` over a whole table.
+
+    Returns ``(means, bits)`` where *bits* is a ``num_rows x num_columns``
+    ``int8`` matrix holding the Quadrant column entries in storage form
+    (``-1`` NULL, else 0/1). Bit-identical to calling the scalar functions
+    per cell: the mean uses the same sequential float summation as
+    :func:`column_means`, and the comparison ``value >= mean`` runs as one
+    array op.
 
     Columns whose cells are purely ``int``/``float``/numeric-``str`` (plus
     NULLs) are converted with one ``astype(float64)`` pass; anything the
     fast dispatch cannot prove equivalent (bools, mixed str+float columns
     where the two NaN conventions differ, unparsable strings, exotic
-    types) falls back to the shared scalar extraction, so the result is
-    bit-identical to :func:`column_quadrant_matrix` by construction.
+    types) falls back to the per-cell ``numeric_value`` extraction, which
+    caches through the optional *memo* across calls.
 
     The NaN conventions that force the str+float fallback:
     ``numeric_value`` maps a *float* NaN cell to None (excluded, bit -1)

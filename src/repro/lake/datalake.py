@@ -238,16 +238,6 @@ class DataLake:
 
     # -- sharding ---------------------------------------------------------------------
 
-    def shard(self, start: int, stop: int) -> LakeShard:
-        """The live tables at ordinal positions ``[start, stop)`` (in
-        ascending-id order) as one picklable shard."""
-        if not 0 <= start <= stop <= self._num_live:
-            raise LakeError(
-                f"invalid shard range [{start}, {stop}) for a lake of "
-                f"{self._num_live} tables"
-            )
-        return _shard_of(list(self.items()), start, stop)
-
     def shard_plan(self, num_shards: int) -> list[LakeShard]:
         """Partition the live tables into up to *num_shards* contiguous
         shards of roughly equal **cell** count (tables vary by orders of

@@ -209,6 +209,9 @@ def _status_of(error: BaseException) -> int:
 def _make_handler(server: BlendServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body leave in two writes; with Nagle on, the second
+        # waits for a kept-alive client's delayed ACK (~40 ms a request).
+        disable_nagle_algorithm = True
 
         def log_message(self, *args: Any) -> None:  # quiet by default
             pass

@@ -63,11 +63,11 @@ def test_run_bench_cli(tmp_path):
     assert set(payload) >= set(PHASES)
 
 
-def test_workers_axis_disabled(tmp_path):
-    """``--workers 0`` drops the parallel phase but keeps the rest."""
-    results = run_benchmark(seed=3, scale=0.05, workers=0)
+def test_single_build_kernel_phases(results):
+    """The index suite times the scalar oracle and the one vectorised
+    kernel; no parallel-build phase remains."""
     assert not any(phase.startswith("build_parallel") for phase in results)
-    assert "build_vectorized" in results
+    assert {"build_scalar", "build_vectorized"} <= set(results)
 
 
 class TestCheckOnly:
@@ -86,9 +86,8 @@ class TestCheckOnly:
         assert "[sharded] scatter-gather parity OK" in out
 
     def test_index_divergence_raises(self, monkeypatch):
-        """The build-parity assertion is live: break the sharded merge
-        (in the parent process, so the check is pool-independent) and the
-        smoke must fail."""
+        """The build-parity assertion is live: break the kernel's merge
+        and the smoke must fail."""
         import bench_index_build
         from repro.index import alltables
 

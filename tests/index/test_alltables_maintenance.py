@@ -27,6 +27,7 @@ from repro.engine import Database
 from repro.engine.storage.column_store import ColumnTable
 from repro.errors import IndexingError, LakeError, StaleContextError
 from repro.index import IndexConfig, build_alltables, deindex_table, index_table, reindex_table
+from repro.index import alltables
 from repro.index.stats import LakeStatistics
 from repro.lake import DataLake, Table
 from repro.lake.generators import CorpusConfig, generate_corpus
@@ -406,26 +407,26 @@ class TestLakeLifecycle:
         assert stats.num_cells == 2
 
 
-def test_parallel_build_on_mutated_lake_byte_identical():
-    """The sharded build handles lakes with id holes (explicit shard
-    table ids), byte-identical to the serial pipelines."""
+def test_parallel_build_on_mutated_lake_byte_identical(monkeypatch):
+    """The vectorised kernel handles lakes with id holes, byte-identical
+    to the scalar oracle -- also when every table lands in its own
+    flush part."""
     blend = Blend(_base_lake(13), backend="column")
     blend.build_index()
     _mutate(blend, random.Random(5), ops=6, tag="par")
     lake = blend.lake
     rows = {}
-    for name, config in {
-        "scalar": IndexConfig(vectorized=False),
-        "vectorized": IndexConfig(),
-        "parallel": IndexConfig(workers=3),
-        "parallel_pinned": IndexConfig(workers=2, pin_workers=True),
-    }.items():
+    for name, config, flush_rows in (
+        ("scalar", IndexConfig(vectorized=False), alltables._FLUSH_ROWS),
+        ("vectorized", IndexConfig(), alltables._FLUSH_ROWS),
+        ("multipart", IndexConfig(), 1),
+    ):
+        monkeypatch.setattr(alltables, "_FLUSH_ROWS", flush_rows)
         db = Database(backend="column")
         build_alltables(lake, db, config)
         rows[name] = db.execute("SELECT * FROM AllTables").rows
     assert rows["vectorized"] == rows["scalar"]
-    assert rows["parallel"] == rows["scalar"]
-    assert rows["parallel_pinned"] == rows["scalar"]
+    assert rows["multipart"] == rows["scalar"]
 
 
 def test_semantic_extension_maintained():

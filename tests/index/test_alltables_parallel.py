@@ -1,13 +1,15 @@
-"""Determinism suite for the sharded parallel AllTables build.
+"""Determinism suite for the vectorised AllTables build kernel.
 
-The acceptance bar mirrors the PR 1 vectorised-vs-scalar pin: for any
-worker count, both scheduling modes (adaptive in-process degradation and
-a pinned real process pool), both storage backends, and both hash
-widths, ``build_alltables(..., IndexConfig(workers=N))`` must produce
-**byte-identical** ``AllTables`` relations (same values, same physical
-order) and identical build reports. A worker-process crash must surface
-as a clear :class:`IndexingError`, never a hang, and must not poison
-subsequent builds.
+The acceptance bar mirrors the vectorised-vs-scalar pin: on both storage
+backends, both hash widths, shuffled rows, forced multi-part flushes and
+empty or all-NULL lakes, ``build_alltables`` must produce **byte-
+identical** ``AllTables`` relations (same values, same physical order)
+and identical build reports to the scalar oracle
+(``IndexConfig(vectorized=False)``), and incremental ``index_table``
+must append exactly the rows a from-scratch build assigns.
+
+The class names date from the removed process-pool build; they are kept
+so the test ids stay stable.
 """
 
 import random
@@ -17,19 +19,18 @@ import pytest
 from repro.engine import Database
 from repro.errors import IndexingError
 from repro.index import IndexConfig, build_alltables
-from repro.index.alltables import (
-    _FastFactorizer,
-    _TokenFactorizer,
-    _shutdown_pools,
-    index_table,
-)
+from repro.index import alltables
+from repro.index.alltables import _FastFactorizer, index_table
 from repro.lake import DataLake, Table
 from repro.lake.generators import CorpusConfig, generate_corpus
+from repro.lake.table import normalize_cell
+
+ORACLE = IndexConfig(vectorized=False)
 
 
 class _UnstringableCell:
-    """A picklable cell whose ``__str__`` raises -- drives an ordinary
-    exception out of a worker's normalize kernel."""
+    """A cell whose ``__str__`` raises -- drives an ordinary exception
+    out of the normalize kernel."""
 
     def __str__(self):
         raise TypeError("unstringable cell")
@@ -76,89 +77,80 @@ def _alltables_rows(lake, config, backend="column"):
 
 
 class TestByteIdenticalAcrossWorkerCounts:
+    @pytest.mark.parametrize("flush_rows", [7, alltables._FLUSH_ROWS])
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_random_lakes_all_worker_counts(self, seed):
+    def test_random_lakes_all_flush_sizes(self, seed, flush_rows, monkeypatch):
+        """A 7-cell flush threshold splits every lake into many parts, so
+        the global-dictionary merge recodes and hashes across parts."""
         lake = _random_lake(random.Random(seed))
-        reference_rows, reference_report = _alltables_rows(lake, IndexConfig())
-        for workers in (1, 2, 4):
-            rows, report = _alltables_rows(lake, IndexConfig(workers=workers))
-            assert rows == reference_rows, f"workers={workers} diverged"
-            assert report == reference_report
-
-    def test_pinned_pool_matches_adaptive_and_serial(self):
-        """Force a real process pool (pin_workers) even on a single-CPU
-        host: results must match the in-process degradation and the
-        serial build bit for bit."""
-        lake = _random_lake(random.Random(91))
-        reference_rows, reference_report = _alltables_rows(lake, IndexConfig())
-        for workers in (2, 3):
-            rows, report = _alltables_rows(
-                lake, IndexConfig(workers=workers, pin_workers=True)
-            )
-            assert rows == reference_rows
-            assert report == reference_report
+        reference_rows, reference_report = _alltables_rows(lake, ORACLE)
+        monkeypatch.setattr(alltables, "_FLUSH_ROWS", flush_rows)
+        rows, report = _alltables_rows(lake, IndexConfig())
+        assert rows == reference_rows
+        assert report == reference_report
 
     @pytest.mark.parametrize("backend", ["row", "column"])
     def test_both_backends_generated_corpus(self, backend):
         lake = generate_corpus(
             CorpusConfig(name="par", num_tables=25, min_rows=4, max_rows=30, seed=13)
         )
-        reference_rows, _ = _alltables_rows(lake, IndexConfig(), backend)
-        rows, _ = _alltables_rows(
-            lake, IndexConfig(workers=2, pin_workers=True), backend
-        )
+        reference_rows, _ = _alltables_rows(lake, ORACLE, backend)
+        rows, _ = _alltables_rows(lake, IndexConfig(), backend)
         assert rows == reference_rows
 
-    def test_128_bit_hashes_row_backend(self):
+    @pytest.mark.parametrize("flush_rows", [7, alltables._FLUSH_ROWS])
+    def test_128_bit_hashes_row_backend(self, flush_rows, monkeypatch):
         lake = _random_lake(random.Random(5))
-        reference_rows, _ = _alltables_rows(lake, IndexConfig(hash_size=128), "row")
+        reference_rows, _ = _alltables_rows(
+            lake, IndexConfig(hash_size=128, vectorized=False), "row"
+        )
         assert any(row[4] >= 2**63 for row in reference_rows)  # real 128-bit keys
-        for workers, pin in ((1, False), (2, True)):
-            rows, _ = _alltables_rows(
-                lake, IndexConfig(hash_size=128, workers=workers, pin_workers=pin), "row"
-            )
-            assert rows == reference_rows
+        monkeypatch.setattr(alltables, "_FLUSH_ROWS", flush_rows)
+        rows, _ = _alltables_rows(lake, IndexConfig(hash_size=128), "row")
+        assert rows == reference_rows
 
     def test_128_bit_rejected_on_column_store(self):
         lake = _random_lake(random.Random(5))
-        db = Database(backend="column")
-        with pytest.raises(IndexingError, match="int64 SuperKey"):
-            build_alltables(lake, db, IndexConfig(hash_size=128, workers=2))
+        for vectorized in (True, False):
+            db = Database(backend="column")
+            with pytest.raises(IndexingError, match="int64 SuperKey"):
+                build_alltables(lake, db, IndexConfig(hash_size=128, vectorized=vectorized))
 
-    def test_shuffle_rows_parity(self):
+    def test_shuffle_rows_parity(self, monkeypatch):
         lake = _random_lake(random.Random(31))
         reference_rows, _ = _alltables_rows(
-            lake, IndexConfig(shuffle_rows=True, shuffle_seed=17)
+            lake, IndexConfig(shuffle_rows=True, shuffle_seed=17, vectorized=False)
         )
-        for workers, pin in ((1, False), (4, False), (2, True)):
-            rows, _ = _alltables_rows(
-                lake,
-                IndexConfig(
-                    shuffle_rows=True, shuffle_seed=17, workers=workers, pin_workers=pin
-                ),
-            )
-            assert rows == reference_rows
+        for flush_rows in (alltables._FLUSH_ROWS, 7):
+            monkeypatch.setattr(alltables, "_FLUSH_ROWS", flush_rows)
+            rows, _ = _alltables_rows(lake, IndexConfig(shuffle_rows=True, shuffle_seed=17))
+            assert rows == reference_rows, f"flush_rows={flush_rows} diverged"
 
     def test_scalar_oracle_agreement(self):
         lake = _random_lake(random.Random(47))
-        scalar_rows, _ = _alltables_rows(lake, IndexConfig(vectorized=False))
-        parallel_rows, _ = _alltables_rows(lake, IndexConfig(workers=2, pin_workers=True))
-        assert parallel_rows == scalar_rows
+        scalar_rows, scalar_report = _alltables_rows(lake, ORACLE)
+        rows, report = _alltables_rows(lake, IndexConfig())
+        assert rows == scalar_rows
+        assert report == scalar_report
 
-    def test_empty_and_all_null_lakes(self):
+    def test_empty_and_all_null_lakes(self, monkeypatch):
         empty = DataLake("empty")
-        rows, report = _alltables_rows(empty, IndexConfig(workers=2))
+        rows, report = _alltables_rows(empty, IndexConfig())
         assert rows == [] and report.num_index_rows == 0
-        nulls = DataLake("nulls", [Table("n", ["a", "b"], [(None, None)] * 5)])
-        reference_rows, reference_report = _alltables_rows(nulls, IndexConfig())
-        rows, report = _alltables_rows(nulls, IndexConfig(workers=2, pin_workers=True))
+        nulls = DataLake(
+            "nulls",
+            [Table("n", ["a", "b"], [(None, None)] * 5), Table("m", ["a"], [(None,)] * 3)],
+        )
+        reference_rows, reference_report = _alltables_rows(nulls, ORACLE)
+        monkeypatch.setattr(alltables, "_FLUSH_ROWS", 7)  # one all-NULL part per table
+        rows, report = _alltables_rows(nulls, IndexConfig())
         assert rows == reference_rows == []
         assert report == reference_report
-        assert report.num_null_cells == 10
+        assert report.num_null_cells == 13
 
 
 class TestFastFactorizerParity:
-    """The sharded pipeline's factoriser against the serial one, on the
+    """The kernel's factoriser against ``normalize_cell`` per cell, on the
     exact value classes where Python equality lies (``True == 1``,
     ``1 == 1.0``, NaN)."""
 
@@ -170,12 +162,10 @@ class TestFastFactorizerParity:
             (2.0, 2, "2", float("nan")),
             (True, 1, "1", 1.0),  # repeats: memo-hit path
         ]
-        slow, fast = _TokenFactorizer(), _FastFactorizer()
-        slow_codes = slow.factorize(rows, 20)
+        fast = _FastFactorizer()
         fast_codes = fast.factorize(rows, 20)
-        slow_tokens = [None if c < 0 else slow.tokens[c] for c in slow_codes]
         fast_tokens = [None if c < 0 else fast.tokens[c] for c in fast_codes]
-        assert fast_tokens == slow_tokens
+        assert fast_tokens == [normalize_cell(value) for row in rows for value in row]
         assert fast_tokens[:4] == ["true", "1", "1", "1"]
         assert fast_tokens[4:8] == ["false", "0", "0", "0"]
 
@@ -186,34 +176,12 @@ class TestFastFactorizerParity:
 
 
 class TestWorkerFailureModes:
-    def test_worker_crash_surfaces_as_indexing_error(self, monkeypatch):
-        """A hard worker death (os._exit in the entrypoint) must raise a
-        clear IndexingError promptly -- not hang -- and the next build on
-        a fresh pool must succeed."""
-        lake = _random_lake(random.Random(3))
-        # Worker processes snapshot the environment when they start, so
-        # drop any pool cached by earlier builds before poisoning it.
-        _shutdown_pools()
-        monkeypatch.setenv("REPRO_INDEX_WORKER_CRASH", "1")
-        db = Database(backend="column")
-        with pytest.raises(IndexingError, match="worker process died"):
-            build_alltables(lake, db, IndexConfig(workers=2, pin_workers=True))
-        monkeypatch.delenv("REPRO_INDEX_WORKER_CRASH")
-        recovered = Database(backend="column")
-        report = build_alltables(
-            lake, recovered, IndexConfig(workers=2, pin_workers=True)
-        )
-        reference_rows, _ = _alltables_rows(lake, IndexConfig())
-        assert recovered.execute("SELECT * FROM AllTables").rows == reference_rows
-        assert report.num_index_rows == len(reference_rows)
-
     def test_worker_exception_propagates(self):
-        """An ordinary exception inside a worker (a cell whose __str__
-        raises, exploding inside the normalize kernel) is re-raised in
-        the parent, original type intact. Two tables, so the build really
-        fans out instead of degrading to the inline path. (Unhashable
-        cells -- the old trigger -- no longer raise: the token kernel
-        normalises them via str() exactly like the scalar oracle.)"""
+        """An ordinary exception inside the normalize kernel (a cell whose
+        __str__ raises) reaches the caller with its original type intact,
+        and leaves no partial rows behind. (Unhashable cells -- the old
+        trigger -- no longer raise: the token kernel normalises them via
+        str() exactly like the scalar oracle.)"""
         lake = DataLake(
             "bad",
             [
@@ -223,49 +191,37 @@ class TestWorkerFailureModes:
         )
         db = Database(backend="column")
         with pytest.raises(TypeError, match="unstringable"):
-            build_alltables(lake, db, IndexConfig(workers=2, pin_workers=True))
+            build_alltables(lake, db, IndexConfig())
+        assert db.num_rows("AllTables") == 0
 
     def test_unhashable_cells_index_like_the_scalar_oracle(self):
         """Unhashable cells (lists) used to TypeError in the vectorised
         factoriser's value memo while the scalar oracle happily tokenised
-        them via ``str()``; the token kernel removed the divergence --
-        every pipeline now agrees with the oracle."""
+        them via ``str()``; the token kernel removed the divergence."""
         lake = DataLake(
             "unhashable",
             [Table("t", ["a", "b"], [(["x", 1], "plain"), (["x", 1], None)] * 3)],
         )
         reference = Database(backend="column")
-        build_alltables(lake, reference, IndexConfig(vectorized=False))
+        build_alltables(lake, reference, ORACLE)
         expected = reference.execute("SELECT * FROM AllTables").rows
         assert expected, "scalar oracle indexed the unhashable cells"
-        for config in (IndexConfig(), IndexConfig(workers=2, pin_workers=True)):
-            db = Database(backend="column")
-            build_alltables(lake, db, config)
-            assert db.execute("SELECT * FROM AllTables").rows == expected
-
-    def test_invalid_worker_counts_rejected(self):
-        lake = _random_lake(random.Random(2))
-        for bad in (0, -3):
-            with pytest.raises(IndexingError, match="workers must be >= 1"):
-                build_alltables(lake, Database(), IndexConfig(workers=bad))
-        with pytest.raises(IndexingError, match="requires the vectorized"):
-            build_alltables(
-                lake, Database(), IndexConfig(workers=2, vectorized=False)
-            )
+        db = Database(backend="column")
+        build_alltables(lake, db, IndexConfig())
+        assert db.execute("SELECT * FROM AllTables").rows == expected
 
 
 class TestMaintenanceAfterParallelBuild:
-    def test_index_table_appends_identically(self):
+    @pytest.mark.parametrize("backend", ["row", "column"])
+    def test_index_table_appends_identically(self, backend):
         lake = _random_lake(random.Random(11))
         extra = Table("t_extra", ["a", "b"], [("p", 1), (None, 2.5), ("q", None)])
         results = {}
-        for label, config in (
-            ("serial", IndexConfig()),
-            ("parallel", IndexConfig(workers=2, pin_workers=True)),
-        ):
-            db = Database(backend="column")
+        for label, config in (("scalar", ORACLE), ("kernel", IndexConfig())):
+            db = Database(backend=backend)
             build_alltables(lake, db, config)
             added = index_table(len(lake), extra, db, config)
             assert added == 4  # six cells, two NULLs
+            assert index_table(len(lake) + 1, Table("e", ["a"], []), db, config) == 0
             results[label] = db.execute("SELECT * FROM AllTables").rows
-        assert results["parallel"] == results["serial"]
+        assert results["kernel"] == results["scalar"]

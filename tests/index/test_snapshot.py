@@ -390,6 +390,34 @@ def test_shuffled_config_round_trips(tmp_path):
     assert sorted(loaded.db.execute(sql).rows) == sorted(fresh.execute(sql).rows)
 
 
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_manifest_with_retired_config_fields_loads(backend, tmp_path):
+    """Snapshots written by earlier versions carry the retired
+    ``index_config.workers`` / ``pin_workers`` fields. Load drops keys
+    that are not ``IndexConfig`` fields, so such a snapshot answers like
+    a fresh build and keeps maintaining like one."""
+    blend = Blend(_lake(19), backend=backend)
+    blend.build_index()
+    path = Path(blend.save(tmp_path / "snap"))
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["index_config"].update(workers=2, pin_workers=True)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+    loaded = Blend.load(path)
+    assert loaded.index_config == IndexConfig()
+    sql = "SELECT * FROM AllTables"
+    fresh = Database(backend=backend)
+    build_alltables(blend.lake, fresh, IndexConfig())
+    assert loaded.db.execute(sql).rows == fresh.execute(sql).rows
+    seekers = _query_seekers(blend.lake)
+    assert _results(loaded.context(), seekers) == _results(blend.context(), seekers)
+    added = Table("retired_add", ["a", "b"], [(f"r{i}", i) for i in range(5)])
+    loaded.add_table(added)
+    rebuilt = Database(backend=backend)
+    build_alltables(loaded.lake, rebuilt, IndexConfig())
+    assert sorted(loaded.db.execute(sql).rows) == sorted(rebuilt.execute(sql).rows)
+
+
 # --------------------------------------------------------------------------
 # Failure modes: every bad snapshot names its offending file
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Randomised lakes -- with real BOOLEAN columns, bool/int duality
 collisions, NULLs, numeric strings, and huge integral floats -- are
-indexed through every ingest pipeline (scalar oracle, vectorised kernel,
-sharded worker pool) on every valid backend x hash-width combination.
+indexed through both ingest pipelines (scalar oracle and the vectorised
+kernel, the latter also with forced multi-part flushes) on every valid
+backend x hash-width combination.
 The bar: **byte-identical** ``AllTables`` relations and identical seeker
 results, regardless of which pipeline built the index or which backend
 stores it. This is the contract the README's "Ingest contract" section
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
-from repro.index import IndexConfig, build_alltables
+from repro.index import IndexConfig, alltables, build_alltables
 from repro.lake import DataLake, Table
 
 # column backend + 128-bit hashes is rejected by the builder (128-bit
@@ -27,9 +28,6 @@ BACKEND_HASH = [("row", 63), ("row", 128), ("column", 63)]
 PIPELINES = {
     "scalar": lambda hash_size: IndexConfig(vectorized=False, hash_size=hash_size),
     "vectorized": lambda hash_size: IndexConfig(hash_size=hash_size),
-    "sharded": lambda hash_size: IndexConfig(
-        workers=2, pin_workers=True, hash_size=hash_size
-    ),
 }
 
 
@@ -106,18 +104,21 @@ class TestPipelineParityProperty:
         "backend,hash_size", BACKEND_HASH, ids=lambda v: str(v)
     )
     def test_alltables_and_seekers_identical_across_pipelines(
-        self, seed, backend, hash_size
+        self, seed, backend, hash_size, monkeypatch
     ):
         lake = _random_lake(seed)
         reference_db = _build(lake, backend, PIPELINES["scalar"](hash_size))
         reference_rows = reference_db.execute("SELECT * FROM AllTables").rows
         assert reference_rows, "property lake produced an empty index"
         reference_results = _results(reference_db, lake, hash_size)
-        for name in ("vectorized", "sharded"):
-            db = _build(lake, backend, PIPELINES[name](hash_size))
+        # A 7-cell flush threshold splits the lake into many parts, so the
+        # global-dictionary merge runs across parts.
+        for flush_rows in (alltables._FLUSH_ROWS, 7):
+            monkeypatch.setattr(alltables, "_FLUSH_ROWS", flush_rows)
+            db = _build(lake, backend, PIPELINES["vectorized"](hash_size))
             rows = db.execute("SELECT * FROM AllTables").rows
-            assert rows == reference_rows, f"{name} diverged from the scalar oracle"
-            assert _results(db, lake, hash_size) == reference_results, name
+            assert rows == reference_rows, f"flush_rows={flush_rows} diverged"
+            assert _results(db, lake, hash_size) == reference_results, flush_rows
 
     @pytest.mark.parametrize("seed", [3, 17, 88])
     def test_boolean_tokens_identical_across_backends(self, seed):

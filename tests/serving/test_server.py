@@ -1,14 +1,16 @@
 """HTTP front-end tests: route behaviour, parity with direct execution,
 error mapping, stats exposure, and the snapshot /swap endpoint."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro import Blend, Seekers, Table
+from repro import Blend, Seekers
 from repro.serving import BlendServer
 
 from tests.serving.conftest import build_blend, make_lake
@@ -151,6 +153,25 @@ def test_health_and_stats(server, served_blend):
         assert field in stats, field
     assert stats["completed"] > 0
     assert 0.0 <= stats["plan_cache"]["hit_rate"] <= 1.0
+
+
+def test_keep_alive_requests_do_not_wait_for_delayed_ack(server):
+    """Sequential requests on one kept-alive connection answer promptly:
+    headers and body go out as two writes, and with Nagle's algorithm on
+    the body waited for the client's delayed ACK (~40 ms per request)."""
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert elapsed < 0.4, f"20 kept-alive requests took {elapsed:.3f} s"
 
 
 def test_http_snapshot_swap(tmp_path):
