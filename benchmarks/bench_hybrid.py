@@ -11,7 +11,6 @@ Phases measured::
 ==================  ========================================================
 hybrid_rrf          HY solo execution, alpha-weighted reciprocal-rank
                     fusion (deterministic exact=True semantic lane)
-hybrid_learned      same queries with cost-model-calibrated lane weights
 semantic_exact      pure SS lane, brute-force oracle mode
 semantic_hnsw       pure SS lane, HNSW beam search
 ==================  ========================================================
@@ -37,6 +36,7 @@ from typing import Any, Callable
 from repro.core.hybrid import HybridSeeker
 from repro.core.semantic import SemanticSeeker
 from repro.core.system import Blend
+from repro.index.alltables import IndexConfig
 from repro.lake.datalake import DataLake
 from repro.lake.table import Table
 from repro.serving import ShardCoordinator
@@ -146,13 +146,20 @@ def _assert_fusion_oracles(blend: Blend, seed: int) -> int:
     return checked
 
 
+def _semantic_blend(seed: int, scale: float) -> Blend:
+    blend = Blend(
+        _bench_lake(seed, scale),
+        backend="column",
+        index_config=IndexConfig(semantic=True),
+    )
+    blend.build_index()
+    return blend
+
+
 def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dict[str, float]]:
     """Time the fusion phases on a freshly built semantic-enabled lake;
     returns the ``BENCH_seeker.json`` payload (hybrid rows)."""
-    blend = Blend(_bench_lake(seed, scale), backend="column")
-    blend.build_index()
-    blend.enable_semantic()
-    blend.train_optimizer(samples_per_type=3, seed=seed)
+    blend = _semantic_blend(seed, scale)
     _assert_fusion_oracles(blend, seed)
 
     context = blend.context()
@@ -164,14 +171,6 @@ def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dic
         lambda: [q.execute(context) for _ in range(QUERY_ROUNDS) for q in queries]
     )
     results["hybrid_rrf"] = _phase(seconds, total)
-
-    calibrated = [
-        q.calibrate(blend.optimizer.cost_model, blend.stats) for q in queries
-    ]
-    seconds, _ = _timed(
-        lambda: [q.execute(context) for _ in range(QUERY_ROUNDS) for q in calibrated]
-    )
-    results["hybrid_learned"] = _phase(seconds, total)
 
     topics = [q.semantic_seeker.values for q in queries]
     for phase, exact in (("semantic_exact", True), ("semantic_hnsw", False)):
@@ -192,10 +191,7 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
     lane's oracle and 2-shard fused-merge parity with solo execution on
     a reduced-scale lake. No timing -- raises ``AssertionError`` on
     divergence."""
-    blend = Blend(_bench_lake(seed, scale), backend="column")
-    blend.build_index()
-    blend.enable_semantic()
-    checked = _assert_fusion_oracles(blend, seed)
+    checked = _assert_fusion_oracles(_semantic_blend(seed, scale), seed)
     return (
         f"hybrid fusion oracle parity OK: {checked} checks, alpha "
         f"degeneracy and 2-shard fused merge agree with solo execution "
@@ -218,4 +214,4 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-PHASES = ("hybrid_rrf", "hybrid_learned", "semantic_exact", "semantic_hnsw")
+PHASES = ("hybrid_rrf", "semantic_exact", "semantic_hnsw")

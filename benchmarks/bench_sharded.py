@@ -33,6 +33,7 @@ from pathlib import Path
 from repro.core.semantic import SemanticSeeker
 from repro.core.seekers import Seekers
 from repro.core.system import Blend
+from repro.index.alltables import IndexConfig
 from repro.lake.datalake import DataLake
 from repro.serving import ShardCoordinator
 from repro.snapshot import save_sharded
@@ -76,9 +77,12 @@ def _workload(lake: DataLake, seed: int, count: int) -> list:
 
 
 def _sharded_blend(seed: int, scale: float) -> Blend:
-    blend = Blend(_bench_lake(seed, scale), backend="column")
+    blend = Blend(
+        _bench_lake(seed, scale),
+        backend="column",
+        index_config=IndexConfig(semantic=True),
+    )
     blend.build_index()
-    blend.enable_semantic()
     return blend
 
 
@@ -152,9 +156,12 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
 
     checked = 0
     for backend in ("column", "row"):
-        blend = Blend(_bench_lake(seed, scale), backend=backend)
+        blend = Blend(
+            _bench_lake(seed, scale),
+            backend=backend,
+            index_config=IndexConfig(semantic=True),
+        )
         blend.build_index()
-        blend.enable_semantic()
         queries = _workload(blend.lake, seed, 24)
         root = Path(tempfile.mkdtemp(prefix="check_sharded_"))
         try:

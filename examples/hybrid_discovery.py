@@ -4,8 +4,8 @@ Builds a small lake with both overlap structure and morphological
 vocabulary families, then walks the fusion tier: the unified
 ``Blend.discover()`` facade, a ``HybridSeeker`` driven directly and
 through the grammar ("joinable on X AND semantically about Y"),
-alpha steering, cost-model-calibrated lane weights, and the sharded
-deployment whose fused answers are byte-identical to solo execution:
+alpha steering, and the sharded deployment whose fused answers are
+byte-identical to solo execution:
 
     $ python examples/hybrid_discovery.py
 """
@@ -36,8 +36,8 @@ def build_lake() -> DataLake:
 
 
 def main() -> None:
-    # semantic=True folds AllVectors into the build contract: no separate
-    # enable_semantic() call, and snapshots/shards carry the vectors.
+    # semantic=True folds AllVectors into the build contract, so
+    # snapshots and shards carry the vectors.
     blend = Blend(build_lake(), backend="column",
                   index_config=IndexConfig(semantic=True, semantic_dimensions=32))
     blend.build_index()
@@ -65,12 +65,10 @@ def main() -> None:
         print(f"HY(alpha={alpha}):",
               [lake.name_of(t) for t in pure.execute(blend.context()).table_ids()])
 
-    # Learned weights: the trained cost model prices each lane and the
-    # fusion down-weights the expensive one.
-    blend.train_optimizer(samples_per_type=3, seed=5)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    print("calibrated lane weights (exact, semantic):",
-          tuple(round(w, 3) for w in seeker.weights))
+    # The same query through the facade: discover()'s "hybrid" modality
+    # builds the registry's HY seeker.
+    res = blend.discover(cities, "hybrid", k=3, about=["customer_8", "customer_9"])
+    assert res.table_ids() == fused.table_ids()
 
     # 3. The same mixed predicate, in the grammar.
     plan = parse_plan(

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro import Blend, DataLake, Seekers, Table
 from repro.core.semantic import SemanticSeeker
+from repro.index import IndexConfig
 from repro.serving import ShardCoordinator
 from repro.snapshot import save_sharded
 
@@ -51,9 +52,8 @@ def main() -> None:
     lake = DataLake("cities")
     for t in range(12):
         lake.add(make_table(rng, f"t{t}"))
-    blend = Blend(lake, backend="column")
+    blend = Blend(lake, backend="column", index_config=IndexConfig(semantic=True))
     blend.build_index()
-    blend.enable_semantic()
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -94,9 +94,9 @@ def main() -> None:
         shard_lake = DataLake("cities/shard0v2")
         for tid in shard_ids:
             shard_lake.add_at(tid, replacement if tid == victim else tables[tid])
-        sub = Blend(shard_lake, backend="column")
+        sub = Blend(shard_lake, backend="column",
+                    index_config=IndexConfig(semantic=True))
         sub.build_index()
-        sub.enable_semantic()
         sub.save(root / "shard0v2")
 
         coordinator.swap_shard(shard, root / "shard0v2")

@@ -8,7 +8,10 @@ regardless of how many requests it coalesces:
 
 * **SC / KW** -- all queries' tokens union into ONE index scan; each
   query's per-(table[, column]) distinct-overlap ranking is then a
-  bincount over the shared scan, replicating its solo SQL byte for byte.
+  bincount over the shared scan, replicating the Listing 1 / KW SQL
+  (``seeker.sql()``, kept as the oracle) byte for byte. This kernel is
+  the only production path for SC and KW: a solo seeker's ``partials``
+  runs it as a batch of one.
 * **MC** -- queries of the same tuple width share ONE phase-1 join over
   the union of their per-column token lists (a superset of every query's
   own candidate rows -- safe because phase 3 is exact), phase 2 runs each
@@ -25,7 +28,8 @@ result contract: ``execute_batch`` is the degenerate one-shard merge of
 ``execute_batch_partials``, and the batching-parity tests pin
 byte-identical results on both storage backends. Rewrites
 (combiner-injected predicates) stay on the per-query path: batches are
-built from independent requests, which have none.
+built from independent requests, which have none; the SC/KW kernel takes
+a solo seeker's rewrite as its scan predicate.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .seekers import (
     OVERFETCH,
     KeywordSeeker,
     MultiColumnSeeker,
+    Rewrite,
     Seeker,
     SeekerContext,
     SingleColumnSeeker,
@@ -101,9 +106,6 @@ def execute_batch_partials(
         else:
             results[i] = seeker_partials(seeker, context)
     for kind, indices in value_groups.items():
-        if len(indices) == 1:  # nothing to coalesce; solo SQL is cheaper
-            results[indices[0]] = seeker_partials(seekers[indices[0]], context)
-            continue
         batch = _execute_value_batch(
             [seekers[i] for i in indices], context, per_column=kind == "SC"
         )
@@ -144,7 +146,10 @@ def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
 
 
 def _execute_value_batch(
-    seekers: Sequence[Seeker], context: SeekerContext, per_column: bool
+    seekers: Sequence[Seeker],
+    context: SeekerContext,
+    per_column: bool,
+    rewrite: Optional[Rewrite] = None,
 ) -> list[SeekerPartials]:
     """Shared kernel for SC (``per_column=True``) and KW batches.
 
@@ -153,8 +158,10 @@ def _execute_value_batch(
     triples are grouped once, and each query ranks groups by how many of
     *its* tokens each holds -- the same ``COUNT(DISTINCT CellValue)`` /
     ``ORDER BY overlap DESC, TableId[, ColumnId]`` / ``LIMIT`` pipeline
-    its solo SQL runs, emitted as ranked partials (group rows best-first,
-    cut at the solo fetch) for the shared merge tail.
+    its SQL template runs, emitted as ranked partials (group rows
+    best-first, cut at the template's fetch) for the shared merge tail.
+    *rewrite* (a solo seeker's combiner-injected predicate) joins the
+    scan's ``WHERE`` clause exactly as it joins the template's.
     """
     vocabulary: dict[str, int] = {}
     for seeker in seekers:
@@ -162,9 +169,11 @@ def _execute_value_batch(
             vocabulary.setdefault(token, len(vocabulary))
     columns = "TableId, ColumnId, CellValue" if per_column else "TableId, CellValue"
     sql = f"SELECT {columns} FROM {context.index_table} WHERE CellValue IN (:q)"
-    result = context.db.execute_columnar(
-        sql, {"q": list(vocabulary)}, decode_text=False
-    )
+    params: dict[str, Any] = {"q": list(vocabulary)}
+    if rewrite is not None:
+        sql += rewrite.predicate_sql()
+        params["__rewrite_ids"] = list(rewrite.table_ids)
+    result = context.db.execute_columnar(sql, params, decode_text=False)
     table_ids = result.arrays[0][0]
     if per_column:
         column_ids = result.arrays[1][0]

@@ -32,6 +32,11 @@ true/false), which is how the mixed semantic predicates parse::
 
     SS($topic, k=20)                       # pure semantic search
     HY($cities, about=$topic, alpha=0.5)   # joinable on X AND about Y
+
+The registry is the one table that turns a modality name and a query
+into a seeker: the grammar, ``Blend.discover()`` and the HTTP ``/query``
+route all resolve names with :func:`seeker_spec` and build with its
+``builder``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from ..errors import PlanError
 from .combiners import Combiners
 from .hybrid import HybridSeeker
 from .plan import Plan
+from .results import DEFAULT_RRF_K
 from .seekers import Seekers
 from .semantic import SemanticSeeker
 
@@ -59,6 +65,30 @@ class SeekerSpec:
 
 
 SEEKER_REGISTRY: dict[str, SeekerSpec] = {}
+
+# ``Blend.discover()``'s long modality names.
+MODALITY_ALIASES = {
+    "keyword": "KW",
+    "join": "SC",
+    "multi_column": "MC",
+    "correlation": "C",
+    "semantic": "SS",
+    "hybrid": "HY",
+}
+
+
+def seeker_spec(name: str) -> SeekerSpec:
+    """Resolve a modality name: a registered name (any case) or one of
+    :data:`MODALITY_ALIASES`."""
+    spec = SEEKER_REGISTRY.get(name) or SEEKER_REGISTRY.get(
+        MODALITY_ALIASES.get(name, name.upper())
+    )
+    if spec is None:
+        raise PlanError(
+            f"unknown discovery modality {name!r}; one of "
+            f"{sorted(SEEKER_REGISTRY)} or {sorted(MODALITY_ALIASES)}"
+        )
+    return spec
 
 
 def register_seeker(
@@ -99,10 +129,17 @@ register_seeker(
 )
 register_seeker(
     "HY",
-    lambda query, k, about=None, alpha=0.5, exact=True: HybridSeeker(
-        query, about=about, k=k, alpha=float(alpha), exact=bool(exact)
+    lambda query, k, about=None, alpha=0.5, rrf_k=DEFAULT_RRF_K, exact=True: (
+        HybridSeeker(
+            query,
+            about=about,
+            k=k,
+            alpha=float(alpha),
+            rrf_k=float(rrf_k),
+            exact=bool(exact),
+        )
     ),
-    keywords=("about", "alpha", "exact"),
+    keywords=("about", "alpha", "rrf_k", "exact"),
 )
 
 _COMBINER_ALIASES = {

@@ -18,18 +18,10 @@ promotes that to a first-class seeker:
   and the merge fuses only after each lane has been globally merged --
   with the deterministic ``exact=True`` semantic lane (the default
   here), hybrid results are byte-identical for any shard count by
-  construction;
-* a learned-weight mode derives the lane weights from the trained
-  :class:`~repro.core.optimizer.cost_model.CostModel`: each lane's
-  weight is the inverse of its predicted runtime over the same
-  ``(cardinality, columns, average_frequency)`` features the optimizer
-  already uses -- the regression's runtime curve tracks how much index
-  mass a lane's query drags in, so expensive (low-selectivity) lanes
-  are down-weighted relative to sharp ones.
+  construction.
 
 :class:`DiscoveryResult` is the typed answer of the unified
-``Blend.discover()`` facade, which routes every discovery modality
-(keyword / join / multi-column / semantic / hybrid) through this module.
+``Blend.discover()`` facade.
 """
 
 from __future__ import annotations
@@ -84,8 +76,7 @@ class HybridSeeker(Seeker):
     one semantic lane -- "joinable on X AND semantically about Y".
 
     ``alpha`` balances the lanes (0 = pure exact, 1 = pure semantic);
-    explicit ``weights=(exact, semantic)`` overrides it, and
-    :meth:`calibrate` replaces both with cost-model-derived weights.
+    explicit ``weights=(exact, semantic)`` overrides it.
     ``about`` supplies the semantic topic; left ``None``, the exact
     query's own values are embedded. ``exact=True`` (default) runs the
     semantic lane brute-force, the deterministic mode whose sharded
@@ -128,30 +119,12 @@ class HybridSeeker(Seeker):
         self.semantic_seeker = SemanticSeeker(topic, k=self.lane_depth, exact=exact)
         if weights is None:
             weights = (1.0 - self.alpha, self.alpha)
-        self._set_weights(weights)
-
-    def _set_weights(self, weights: tuple[float, float]) -> None:
         exact_weight, semantic_weight = (float(w) for w in weights)
         if exact_weight < 0 or semantic_weight < 0:
             raise SeekerError("fusion weights must be non-negative")
         if exact_weight == 0 and semantic_weight == 0:
             raise SeekerError("at least one fusion weight must be positive")
         self.weights = (exact_weight, semantic_weight)
-
-    def calibrate(self, cost_model, stats) -> "HybridSeeker":
-        """Learned-weight mode: replace the alpha-derived weights with
-        weights inversely proportional to each lane's cost-model runtime
-        estimate (normalised to sum to 1). Deterministic given the model
-        and statistics; call before execution so solo/batched/sharded
-        paths all fuse with the same weights. Returns self."""
-        estimates = [
-            max(cost_model.estimate(seeker, stats), 1e-12)
-            for seeker in (self.exact_seeker, self.semantic_seeker)
-        ]
-        inverse = [1.0 / estimate for estimate in estimates]
-        total = sum(inverse)
-        self._set_weights((inverse[0] / total, inverse[1] / total))
-        return self
 
     # -- execution ---------------------------------------------------------------
 

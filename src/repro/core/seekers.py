@@ -8,6 +8,10 @@ statements as the paper's Listings 1-3, extended with:
 * deterministic tie-breaking sort keys (TableId, ColumnId), so both
   storage backends return identical rankings.
 
+SC and KW execute through the cross-query union-scan kernel of
+:mod:`repro.core.batch` (a solo query is a batch of one); their SQL
+templates stay as the paper-faithful oracle the kernel is tested against.
+
 SC and C group by (TableId, ColumnId); the database returns ranked
 *groups*, which the seeker deduplicates to ranked *tables*. An over-fetch
 factor bounds the group fan-out per table (exact for tables with up to
@@ -93,8 +97,8 @@ class SeekerContext:
     """Everything a seeker needs at execution time.
 
     ``semantic`` is the optional vector index of the semantic extension
-    (:mod:`repro.core.semantic`); ``None`` unless the deployment called
-    ``Blend.enable_semantic()``.
+    (:mod:`repro.core.semantic`); ``None`` unless the deployment was
+    built with ``IndexConfig(semantic=True)``.
 
     ``vectorized`` selects the batched MC phase-2/3 pipeline (the
     default); ``False`` runs the seed scalar phases, kept as the
@@ -231,10 +235,12 @@ class SingleColumnSeeker(Seeker):
     def partials(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
+        """The cross-query union-scan kernel as a batch of one; the
+        template above (Listing 1) stays as its oracle."""
+        from .batch import _execute_value_batch
+
         context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute(sql, self.params(rewrite))
-        return ranked_partials(result.rows, self.k * OVERFETCH)
+        return _execute_value_batch([self], context, per_column=True, rewrite=rewrite)[0]
 
     def query_cardinality(self) -> int:
         return len(self.tokens)
@@ -281,10 +287,12 @@ class KeywordSeeker(Seeker):
     def partials(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
+        """The cross-query union-scan kernel as a batch of one; the
+        template above stays as its oracle."""
+        from .batch import _execute_value_batch
+
         context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute(sql, self.params(rewrite))
-        return ranked_partials(result.rows, self.k)
+        return _execute_value_batch([self], context, per_column=False, rewrite=rewrite)[0]
 
     def query_cardinality(self) -> int:
         return len(self.tokens)

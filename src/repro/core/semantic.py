@@ -278,7 +278,7 @@ class SemanticSeeker(Seeker):
         semantic = getattr(context, "semantic", None)
         if semantic is None:
             raise SeekerError(
-                "semantic index not built; call Blend.enable_semantic() first"
+                "semantic index not built; build with IndexConfig(semantic=True)"
             )
         query_vector = embed_values(self.values, semantic.dimensions)
         if not np.any(query_vector):

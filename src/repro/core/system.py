@@ -14,8 +14,12 @@ Typical use::
     result = blend.run(plan)
     print(result.output.table_ids())
 
-Convenience task methods (``join_search``, ``union_search``, ...) build
-the standard plans of §VII-A.
+``blend.discover(query, modalities=...)`` is the one-call entry point
+for every seeker modality (resolved through the grammar's
+``SEEKER_REGISTRY``, the same table ``parse_plan`` and HTTP ``/query``
+build from); ``correlation_search`` and ``union_search`` build the
+standard plans of §VII-A. ``IndexConfig(semantic=True)`` adds the
+semantic extension (``AllVectors`` + HNSW) to the offline build.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ class Blend:
         # from (or last fully saved to) -- what incremental saves diff
         # against. ``None`` for deployments that never touched disk.
         self._snapshot_base = None
+        # The semantic extension's vector index (``IndexConfig(semantic=
+        # True)`` builds it; snapshot loads restore it).
+        self._semantic = None
         self.optimizer = Optimizer()
 
     # -- offline phase ---------------------------------------------------------
@@ -88,7 +95,12 @@ class Blend:
         self._indexed = True
         self._stats = LakeStatistics.from_lake(self.lake)
         if self.index_config.semantic:
-            self.enable_semantic(dimensions=self.index_config.semantic_dimensions)
+            from .semantic import SemanticIndex
+
+            self._semantic = SemanticIndex(
+                self.lake, dimensions=self.index_config.semantic_dimensions
+            )
+            self._semantic.persist(self.db)
         return report
 
     @property
@@ -291,9 +303,9 @@ class Blend:
             index_table(table_id, table, self.db, self.index_config)
         if self._stats is not None:
             self._stats.add_table(table)
-        semantic = getattr(self, "_semantic", None)
+        semantic = self._semantic
         if semantic is not None:
-            semantic.add_table(table_id, table, self.db if self._indexed else None)
+            semantic.add_table(table_id, table, self.db)
         return table_id
 
     def remove_table(self, table_id: int) -> Table:
@@ -316,9 +328,9 @@ class Blend:
             deindex_table(table_id, self.db, self.index_config)
         if self._stats is not None:
             self._stats.remove_table(removed)
-        semantic = getattr(self, "_semantic", None)
+        semantic = self._semantic
         if semantic is not None:
-            semantic.remove_table(table_id, self.db if self._indexed else None)
+            semantic.remove_table(table_id, self.db)
         return removed
 
     def replace_table(self, table_id: int, table: Table) -> Table:
@@ -334,9 +346,9 @@ class Blend:
             reindex_table(table_id, table, self.db, self.index_config)
         if self._stats is not None:
             self._stats.replace_table(previous, table)
-        semantic = getattr(self, "_semantic", None)
+        semantic = self._semantic
         if semantic is not None:
-            semantic.replace_table(table_id, table, self.db if self._indexed else None)
+            semantic.replace_table(table_id, table, self.db)
         return previous
 
     def compact_index(self) -> None:
@@ -352,26 +364,6 @@ class Blend:
         if self.db.has_table("AllVectors"):
             self.db.compact("AllVectors")
 
-    def enable_semantic(self, dimensions: int = 64, persist: bool = True) -> "Blend":
-        """Build the semantic extension (paper §X future work): embed
-        every lake column, persist the vectors in-DB as ``AllVectors``,
-        and serve SS seekers from an HNSW over them. Returns self.
-
-        Equivalent to building with ``IndexConfig(semantic=True)``; the
-        config is updated to match so snapshots and shard saves carry the
-        semantic setting uniformly."""
-        from dataclasses import replace
-
-        from .semantic import SemanticIndex
-
-        self._semantic = SemanticIndex(self.lake, dimensions=dimensions)
-        self.index_config = replace(
-            self.index_config, semantic=True, semantic_dimensions=dimensions
-        )
-        if persist and self._indexed:
-            self._semantic.persist(self.db)
-        return self
-
     def context(self) -> SeekerContext:
         if not self._indexed:
             raise BlendError("call build_index() before executing plans")
@@ -381,7 +373,7 @@ class Blend:
             index_table=self.index_config.table_name,
             hash_size=self.index_config.hash_size,
             xash_chars=self.index_config.xash_chars,
-            semantic=getattr(self, "_semantic", None),
+            semantic=self._semantic,
             generation=self.lake.generation,
         )
 
@@ -424,83 +416,43 @@ class Blend:
         about: Optional[Iterable[Cell]] = None,
         alpha: float = 0.5,
         rrf_k: float = 60.0,
-        fusion: str = "rrf",
         exact: Optional[bool] = None,
     ) -> "DiscoveryResult":
         """One entry point for every discovery modality, returning a typed
         :class:`~repro.core.hybrid.DiscoveryResult`.
 
-        *modalities* selects among ``"keyword"`` (KW), ``"join"`` (SC),
-        ``"multi_column"`` (MC), ``"semantic"`` (SS), ``"correlation"``
-        (C; *query* binds a ``(keys, targets)`` pair) and ``"hybrid"``
-        (HY -- exact+semantic reciprocal-rank fusion, steered by *about*
-        / *alpha* / *rrf_k*). With several modalities, each runs as one
-        node of a single plan and the per-modality rankings fuse into
-        ``result.output`` by the same reciprocal-rank rule.
-
-        ``fusion="learned"`` weighs lanes (and multi-modality fusion) by
-        the trained cost model's inverse runtime estimates instead of
-        uniformly/alpha. *exact* forces the semantic lane's brute-force
-        mode (defaults: SS approximate, HY exact -- the deterministic
-        sharding mode).
-
-        The legacy task methods (``keyword_search``, ``join_search``,
-        ``semantic_search``, ``multi_column_join_search``) are thin
-        wrappers over this facade.
+        *modalities* names registered seekers (see
+        :func:`~repro.core.grammar.seeker_spec`): ``"keyword"`` (KW),
+        ``"join"`` (SC), ``"multi_column"`` (MC), ``"semantic"`` (SS),
+        ``"correlation"`` (C; *query* binds a ``(keys, targets)`` pair),
+        ``"hybrid"`` (HY), or the registry names themselves. *about*,
+        *alpha*, *rrf_k* and *exact* reach the modalities that declare
+        them: *about* / *alpha* / *rrf_k* steer HY's exact+semantic
+        reciprocal-rank fusion, and *exact* forces the semantic lane's
+        brute-force mode (defaults: SS approximate, HY exact -- the
+        deterministic sharding mode). With several modalities, each runs
+        as one node of a single plan and the per-modality rankings fuse
+        into ``result.output`` by the same reciprocal-rank rule.
         """
-        from .hybrid import DiscoveryResult, HybridSeeker
+        from .grammar import seeker_spec
+        from .hybrid import DiscoveryResult
         from .results import fuse_rankings
-        from .semantic import SemanticSeeker
 
-        if fusion not in ("rrf", "learned"):
-            raise BlendError(f"fusion must be 'rrf' or 'learned', got {fusion!r}")
         if isinstance(modalities, str):
             modalities = (modalities,)
         selected = tuple(dict.fromkeys(modalities))
         if not selected:
             raise BlendError("discover() needs at least one modality")
-
-        def _operator(modality: str) -> Seeker:
-            if modality == "keyword":
-                return Seekers.KW(query, k=k)
-            if modality == "join":
-                return Seekers.SC(query, k=k)
-            if modality == "multi_column":
-                return Seekers.MC(query, k=k)
-            if modality == "semantic":
-                values = query if about is None else about
-                return SemanticSeeker(
-                    values, k=k, exact=False if exact is None else exact
-                )
-            if modality == "correlation":
-                try:
-                    keys, targets = query
-                except (TypeError, ValueError):
-                    raise BlendError(
-                        "the correlation modality binds a (keys, targets) pair"
-                    ) from None
-                return Seekers.Correlation(keys, targets, k=k)
-            if modality == "hybrid":
-                seeker = HybridSeeker(
-                    query,
-                    about=about,
-                    k=k,
-                    alpha=alpha,
-                    rrf_k=rrf_k,
-                    exact=True if exact is None else exact,
-                )
-                if fusion == "learned":
-                    seeker.calibrate(self.optimizer.cost_model, self.stats)
-                return seeker
-            raise BlendError(
-                f"unknown discovery modality {modality!r}; one of "
-                "keyword/join/multi_column/semantic/correlation/hybrid"
-            )
-
+        arguments = {"about": about, "alpha": alpha, "rrf_k": rrf_k, "exact": exact}
         plan = Plan()
-        operators = {modality: _operator(modality) for modality in selected}
-        for modality, operator in operators.items():
-            plan.add(modality, operator)
+        for modality in selected:
+            spec = seeker_spec(modality)
+            keywords = {
+                name: arguments[name]
+                for name in spec.keywords
+                if arguments.get(name) is not None
+            }
+            plan.add(modality, spec.builder(query, k=k, **keywords))
         run = self.run(plan)
         per_modality = {
             modality: run.result_of(modality) for modality in selected
@@ -508,25 +460,8 @@ class Blend:
         if len(selected) == 1:
             output = per_modality[selected[0]]
         else:
-            if fusion == "learned":
-                estimates = [
-                    max(
-                        self.optimizer.cost_model.estimate(
-                            operators[modality], self.stats
-                        ),
-                        1e-12,
-                    )
-                    for modality in selected
-                ]
-                total = sum(1.0 / estimate for estimate in estimates)
-                weights = [1.0 / estimate / total for estimate in estimates]
-            else:
-                weights = [1.0] * len(selected)
             output = fuse_rankings(
-                [
-                    (weight, per_modality[modality])
-                    for weight, modality in zip(weights, selected)
-                ],
+                [(1.0, per_modality[modality]) for modality in selected],
                 k,
                 rrf_k=rrf_k,
             )
@@ -537,22 +472,6 @@ class Blend:
             output=output,
             per_modality=per_modality,
         )
-
-    def hybrid_search(
-        self,
-        values: Iterable[Cell],
-        about: Optional[Iterable[Cell]] = None,
-        k: int = 10,
-        alpha: float = 0.5,
-    ) -> ResultList:
-        """Hybrid exact+semantic discovery via the HY fusion seeker."""
-        return self.discover(
-            values, modalities=("hybrid",), k=k, about=about, alpha=alpha
-        ).output
-
-    def semantic_search(self, values: Iterable[Cell], k: int = 10) -> ResultList:
-        """Semantic join/union discovery via the SS seeker extension."""
-        return self.discover(values, modalities=("semantic",), k=k).output
 
     # -- online phase ----------------------------------------------------------
 
@@ -569,22 +488,6 @@ class Blend:
         return PlanExecutor(self.context()).run(plan, execution_plan)
 
     # -- standard tasks (§VII-A) ---------------------------------------------------
-
-    def keyword_search(self, keywords: Iterable[Cell], k: int = 10) -> ResultList:
-        """Simple task: a single KW seeker (thin ``discover`` wrapper)."""
-        return self.discover(keywords, modalities=("keyword",), k=k).output
-
-    def join_search(self, values: Iterable[Cell], k: int = 10) -> ResultList:
-        """Single-column join discovery (the JOSIE task; thin
-        ``discover`` wrapper)."""
-        return self.discover(values, modalities=("join",), k=k).output
-
-    def multi_column_join_search(
-        self, rows: Iterable[Sequence[Cell]] | Table, k: int = 10
-    ) -> ResultList:
-        """Multi-column join discovery (the MATE task; thin ``discover``
-        wrapper)."""
-        return self.discover(rows, modalities=("multi_column",), k=k).output
 
     def correlation_search(
         self,

@@ -114,7 +114,7 @@ class IndexConfig:
     vectorized: bool = True  # False: scalar reference path (test oracle)
     # Semantic extension: build AllVectors + the HNSW alongside AllTables,
     # so build/load/shard paths configure it uniformly (SS and HY seekers
-    # need it). Blend.enable_semantic() flips this on after the fact.
+    # need it).
     semantic: bool = False
     semantic_dimensions: int = 64
 

@@ -8,8 +8,9 @@ requests inside one batch window.
 
 Endpoints::
 
-    POST /query   {"modality": "sc"|"kw"|"mc", "values": [...] |
-                   "tuples": [[...], ...], "k": 10, "timeout_ms": 2000}
+    POST /query   {"modality": "sc"|"kw"|"mc"|"c"|"ss"|"hy"|<alias>,
+                   "values": [...] | "tuples": [[...], ...], "k": 10,
+                   "timeout_ms": 2000, <registry keywords, e.g. "about">}
               ->  {"generation": 3, "batch_size": 7,
                    "results": [{"table_id": 12, "score": 4.0}, ...]}
     GET  /stats   serving metrics + plan-cache hit rate
@@ -17,6 +18,10 @@ Endpoints::
     POST /swap    {"snapshot": "/path/to/snapshot"}  -- zero-downtime
               ->  {"old_generation": ..., "new_generation": ...,
                    "drained": true, "seconds": ...}
+
+A modality is any name :func:`~repro.core.grammar.seeker_spec` resolves
+(the grammar's ``SEEKER_REGISTRY``, any case, or ``discover()``'s long
+names); a C query is ``"values": [keys, targets]``.
 
 Errors map to status codes: malformed request / bad seeker spec -> 400,
 deadline missed -> 408, snapshot problems on swap -> 409, scheduler
@@ -31,10 +36,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
-from ..core.seekers import Seeker, Seekers
+from ..core.grammar import seeker_spec
+from ..core.seekers import Seeker
 from ..core.system import Blend
 from ..errors import (
     BlendError,
+    PlanError,
     RequestTimeoutError,
     SeekerError,
     ServingError,
@@ -47,29 +54,36 @@ from .stats import ServingStats
 _MAX_BODY = 8 << 20  # requests are queries, not uploads
 
 
-def build_seeker(payload: dict[str, Any]) -> tuple[Seeker, tuple]:
-    """Translate one request body into a seeker plus its coalescing key
-    (two byte-identical payloads must produce equal keys)."""
+def _positive(value: Any, kinds: tuple[type, ...], message: str) -> Any:
+    # bool is an int subclass: ``true`` must not pass as 1.
+    if isinstance(value, bool) or not isinstance(value, kinds) or value <= 0:
+        raise SeekerError(message)
+    return value
+
+
+def build_seeker(payload: dict[str, Any]) -> tuple[Seeker, str]:
+    """Translate one request body into a seeker plus its coalescing key:
+    canonical JSON of (modality, query, k, keywords), so two
+    byte-identical payloads produce equal keys."""
     modality = payload.get("modality")
     if not isinstance(modality, str):
-        raise SeekerError("request must name a modality: sc, kw, or mc")
-    modality = modality.lower()
-    k = payload.get("k", 10)
-    if not isinstance(k, int) or k < 1:
-        raise SeekerError("k must be a positive integer")
-    if modality in ("sc", "kw"):
-        values = payload.get("values")
-        if not isinstance(values, list) or not values:
-            raise SeekerError(f"{modality} request needs a non-empty 'values' list")
-        seeker: Seeker = (Seekers.SC if modality == "sc" else Seekers.KW)(values, k=k)
-        return seeker, (modality, tuple(seeker.tokens), k)  # type: ignore[attr-defined]
-    if modality == "mc":
-        tuples = payload.get("tuples")
-        if not isinstance(tuples, list) or not tuples:
-            raise SeekerError("mc request needs a non-empty 'tuples' list of rows")
-        seeker = Seekers.MC(tuples, k=k)
-        return seeker, (modality, tuple(seeker.tuples), k)
-    raise SeekerError(f"unknown modality: {modality!r}")
+        raise SeekerError("request must name a modality")
+    spec = seeker_spec(modality)
+    k = _positive(payload.get("k", 10), (int,), "k must be a positive integer")
+    query = payload.get("values", payload.get("tuples"))
+    if not isinstance(query, list) or not query:
+        raise SeekerError(
+            f"{spec.name} request needs a non-empty 'values' or 'tuples' list"
+        )
+    keywords = {name: payload[name] for name in spec.keywords if name in payload}
+    try:
+        seeker = spec.builder(query, k=k, **keywords)
+    except (TypeError, ValueError) as exc:
+        raise SeekerError(f"bad {spec.name} request: {exc}") from None
+    key = json.dumps(
+        [spec.name, query, k, keywords], sort_keys=True, separators=(",", ":")
+    )
+    return seeker, key
 
 
 class BlendServer:
@@ -149,9 +163,9 @@ class BlendServer:
         timeout = self.default_timeout
         timeout_ms = payload.get("timeout_ms")
         if timeout_ms is not None:
-            if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
-                raise SeekerError("timeout_ms must be a positive number")
-            timeout = timeout_ms / 1e3
+            timeout = _positive(
+                timeout_ms, (int, float), "timeout_ms must be a positive number"
+            ) / 1e3
         outcome = self.scheduler.execute(seeker, timeout=timeout, key=key)
         return {
             "generation": outcome.generation,
@@ -201,7 +215,7 @@ def _status_of(error: BaseException) -> int:
         return 409
     if isinstance(error, ServingError):
         return 503
-    if isinstance(error, (SeekerError, ValueError)):
+    if isinstance(error, (SeekerError, PlanError, ValueError)):
         return 400
     return 500
 

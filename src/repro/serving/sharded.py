@@ -426,7 +426,12 @@ class ShardCoordinator:
     ) -> list[ResultList]:
         """Broadcast a batch: one ``partials`` round-trip per shard for
         the whole batch, then one merge per seeker. Shards answer
-        concurrently (each behind its own scheduler / process)."""
+        concurrently (each behind its own scheduler / process).
+
+        Every shard's reply is collected before the first error is
+        raised: a reply left unread would wedge an in-process worker
+        (its op stays in flight) or answer the next query on a process
+        worker's pipe."""
         if self._closed:
             raise ServingError("coordinator is closed")
         if generation is not None and generation != self._generation:
@@ -439,9 +444,15 @@ class ShardCoordinator:
             return []
         for worker in self.workers:
             worker.send("partials", seekers)
-        gathered: list[list[SeekerPartials]] = [
-            worker.recv() for worker in self.workers
-        ]
+        gathered: list[list[SeekerPartials]] = []
+        error: Optional[BaseException] = None
+        for worker in self.workers:
+            try:
+                gathered.append(worker.recv())
+            except BaseException as exc:
+                error = error or exc
+        if error is not None:
+            raise error
         return [
             merge_partials([parts[i] for parts in gathered], seeker.k)
             for i, seeker in enumerate(seekers)

@@ -312,15 +312,6 @@ def save_blend(
     writer = _Writer(target_root)
     db: Database = blend.db
 
-    semantic = getattr(blend, "_semantic", None)
-    if semantic is not None and not db.has_table("AllVectors"):
-        # enable_semantic(persist=False) keeps the vectors in memory
-        # only; a snapshot persists the entire built system, so
-        # serialise them in-DB now (exactly what persist=True does) --
-        # otherwise load would find semantic parameters with no
-        # AllVectors relation behind them.
-        semantic.persist(db)
-
     tables_meta = []
     for position, name in enumerate(db.table_names()):
         storage = db.table(name)
@@ -354,6 +345,7 @@ def save_blend(
 
     cost_model = blend.optimizer.cost_model
     config = blend.index_config
+    semantic = blend._semantic
     manifest = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
@@ -695,7 +687,7 @@ def save_sharded(
             )
     root.mkdir(parents=True, exist_ok=True)
 
-    semantic = getattr(blend, "_semantic", None)
+    semantic = blend._semantic
     semantic_meta = semantic.snapshot_meta() if semantic is not None else None
     shard_names: list[str] = []
     table_shard: dict[str, int] = {}
@@ -704,22 +696,9 @@ def save_sharded(
         sub = type(blend)(
             shard_lake, backend=blend.db.backend, index_config=blend.index_config
         )
+        # index_config carries the semantic setting, so build_index()
+        # builds each shard's vector index too.
         sub.build_index()
-        if semantic_meta is not None and getattr(sub, "_semantic", None) is None:
-            # IndexConfig(semantic=True) already built the shard's vector
-            # index inside build_index(); this branch covers deployments
-            # whose SemanticIndex was installed directly (non-default
-            # graph parameters), rebuilding per shard from the meta.
-            from .core.semantic import SemanticIndex
-
-            sub._semantic = SemanticIndex(
-                shard_lake,
-                dimensions=semantic_meta["dimensions"],
-                m=semantic_meta["m"],
-                ef_construction=semantic_meta["ef_construction"],
-                seed=semantic_meta["seed"],
-            )
-            sub._semantic.persist(sub.db)
         name = f"shard{i}"
         save_blend(sub, root / name, include_lake=include_lake)
         shard_names.append(name)

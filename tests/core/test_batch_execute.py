@@ -9,6 +9,8 @@ import pytest
 
 from repro import Blend, DataLake, Seekers, Table
 from repro.core.batch import execute_batch
+from repro.core.results import merge_partials, ranked_partials
+from repro.core.seekers import OVERFETCH, Rewrite
 
 
 CITIES = ["berlin", "paris", "rome", "madrid", "lisbon", "vienna", "oslo", "cairo"]
@@ -62,6 +64,35 @@ def test_batch_matches_serial_for_all_modalities(serving_blend):
         assert got == expected, f"seeker {i} ({seekers[i].kind}) diverged"
 
 
+def _template_oracle(seeker, context, rewrite):
+    """The SC (Listing 1) / KW SQL template run directly -- the oracle of
+    the union-scan kernel that executes SC and KW."""
+    sql = seeker.sql(rewrite).format(index=context.index_table)
+    rows = context.db.execute(sql, seeker.params(rewrite)).rows
+    fetch = seeker.k * OVERFETCH if seeker.kind == "SC" else seeker.k
+    return merge_partials([ranked_partials(rows, fetch)], seeker.k)
+
+
+@pytest.mark.parametrize("mode", [None, "intersect", "difference"])
+def test_sc_kw_kernel_matches_sql_template(serving_blend, mode):
+    rng = random.Random(41)
+    context = serving_blend.context()
+    table_ids = serving_blend.lake.table_ids()
+    for _ in range(6):
+        rewrite = None
+        if mode is not None:
+            rewrite = Rewrite(mode, tuple(sorted(rng.sample(table_ids, 5))))
+        for seeker in (
+            Seekers.SC(rng.sample(CITIES, 3), k=5),
+            Seekers.SC(rng.sample(COUNTRIES, 2) + ["tag1", "tag3"], k=2),
+            Seekers.SC(["nonexistent-token"], k=5),
+            Seekers.KW(rng.sample(CITIES + COUNTRIES, 4), k=4),
+            Seekers.KW(["berlin", "tag2"], k=20),
+        ):
+            expected = _template_oracle(seeker, context, rewrite)
+            assert seeker.execute(context, rewrite) == expected, (seeker, rewrite)
+
+
 def test_blend_execute_batch_entry_point(serving_blend):
     rng = random.Random(17)
     seekers = _mixed_seekers(rng)
@@ -71,7 +102,7 @@ def test_blend_execute_batch_entry_point(serving_blend):
 
 
 def test_single_seeker_batches(serving_blend):
-    """Singleton batches take the solo path but must agree too."""
+    """Singleton batches must agree too."""
     context = serving_blend.context()
     for seeker in (
         Seekers.SC(["berlin", "paris"], k=4),

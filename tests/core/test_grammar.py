@@ -149,9 +149,21 @@ class TestSeekerRegistry:
         plan = parse_plan("SS($words, exact=true)", BINDINGS)
         (node,) = plan.nodes()
         assert node.operator.exact is True
-        plan = parse_plan("HY($departments, alpha=1.0)", BINDINGS)
+        plan = parse_plan("HY($departments, alpha=1.0, rrf_k=20)", BINDINGS)
         (node,) = plan.nodes()
         assert node.operator.alpha == 1.0
+        assert node.operator.rrf_k == 20.0
+
+    def test_seeker_spec_resolves_names_aliases_and_case(self):
+        from repro.core.grammar import MODALITY_ALIASES, SEEKER_REGISTRY, seeker_spec
+
+        for name, spec in SEEKER_REGISTRY.items():
+            assert seeker_spec(name) is spec
+            assert seeker_spec(name.lower()) is spec
+        for alias, name in MODALITY_ALIASES.items():
+            assert seeker_spec(alias) is SEEKER_REGISTRY[name]
+        with pytest.raises(PlanError, match="unknown discovery modality 'nope'"):
+            seeker_spec("nope")
 
     def test_register_custom_seeker(self):
         from repro.core.grammar import SEEKER_REGISTRY, register_seeker

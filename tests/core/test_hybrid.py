@@ -5,8 +5,8 @@ The property at the heart of the suite: with the deterministic
 shard counts** -- scores included -- because the fused partial merges
 each lane globally before fusing (see ``repro.core.results``). Plus the
 degeneracy contract (``alpha`` 0/1 reproduce the pure exact / pure
-semantic rankings), the learned-weight mode, the ``discover()`` facade,
-and the grammar's mixed predicates end-to-end."""
+semantic rankings), the ``discover()`` facade, and the grammar's mixed
+predicates end-to-end."""
 
 import random
 
@@ -119,20 +119,6 @@ def test_batched_execution_matches_solo():
     assert batched == solo
 
 
-def test_learned_weights_are_normalised_and_deterministic():
-    blend = _blend(13, "column")
-    blend.train_optimizer(samples_per_type=3, seed=13)
-    seeker = HybridSeeker([NAMES[1], NAMES[2]], k=5)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    first = seeker.weights
-    assert all(w > 0 for w in first)
-    assert sum(first) == pytest.approx(1.0)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    assert seeker.weights == first
-    # Learned weights still execute end-to-end.
-    assert len(seeker.execute(blend.context())) > 0
-
-
 def test_hybrid_rewrite_preserves_optimized_semantics():
     """Intersect(SC, HY) without truncation (Theorem 1): the optimizer
     rewrites the hybrid with its sibling's table ids; the hybrid honours
@@ -231,21 +217,37 @@ def test_fuse_rankings_skips_zero_weight_lanes():
 # -- the discover() facade --------------------------------------------------------
 
 
-def test_discover_single_modality_matches_legacy_wrappers():
+def test_discover_single_modality_matches_direct_seekers():
+    """Each of discover()'s six modality names builds the registry's
+    seeker with discover()'s defaults: its output equals that seeker's
+    direct execution."""
     blend = _blend(19, "column")
+    context = blend.context()
     values = [NAMES[0], NAMES[1], NAMES[6]]
-    assert blend.discover(values, modalities="join", k=5).output == (
-        blend.join_search(values, k=5)
-    )
-    assert blend.discover(values, modalities=("keyword",), k=5).output == (
-        blend.keyword_search(values, k=5)
-    )
-    assert blend.discover(values, modalities=("semantic",), k=5).output == (
-        blend.semantic_search(values, k=5)
-    )
     rows = [(NAMES[0], TOPICS[0]), (NAMES[1], TOPICS[1])]
-    assert blend.discover(rows, modalities=("multi_column",), k=5).output == (
-        blend.multi_column_join_search(rows, k=5)
+    keys = [NAMES[i % 12] for i in range(30)]
+    targets = [str(i % 7) for i in range(30)]
+    cases = [
+        ("join", values, {}, Seekers.SC(values, k=5)),
+        ("keyword", values, {}, Seekers.KW(values, k=5)),
+        ("multi_column", rows, {}, Seekers.MC(rows, k=5)),
+        ("correlation", (keys, targets), {}, Seekers.C(keys, targets, k=5)),
+        ("semantic", values, {}, SemanticSeeker(values, k=5, exact=False)),
+        ("semantic", values, {"exact": True}, SemanticSeeker(values, k=5, exact=True)),
+        ("hybrid", values, {}, HybridSeeker(values, k=5, exact=True)),
+        (
+            "hybrid",
+            values,
+            {"about": [TOPICS[2]], "alpha": 0.7, "rrf_k": 5.0},
+            HybridSeeker(values, about=[TOPICS[2]], k=5, alpha=0.7, rrf_k=5.0),
+        ),
+    ]
+    for modality, query, keywords, seeker in cases:
+        result = blend.discover(query, modalities=modality, k=5, **keywords)
+        assert _hits(result.output) == _hits(seeker.execute(context)), modality
+    # Registry names resolve too, in any case.
+    assert blend.discover(values, modalities="sc", k=5).output == (
+        blend.discover(values, modalities="join", k=5).output
     )
 
 
@@ -268,21 +270,12 @@ def test_discover_returns_typed_result():
     assert _hits(result.output) == _hits(expected)
 
 
-def test_discover_hybrid_learned_fusion_runs():
-    blend = _blend(23, "column")
-    blend.train_optimizer(samples_per_type=3, seed=23)
-    result = blend.discover(
-        [NAMES[0], NAMES[5]], modalities=("hybrid",), k=4, fusion="learned"
-    )
-    assert len(result.output) > 0
-
-
 def test_discover_rejects_unknowns():
     blend = _blend(25, "column")
     with pytest.raises(BlendError, match="unknown discovery modality"):
         blend.discover(["x"], modalities=("psychic",))
-    with pytest.raises(BlendError, match="fusion"):
-        blend.discover(["x"], fusion="vibes")
+    with pytest.raises(PlanError, match="binding must be a"):
+        blend.discover(["x"], modalities=("correlation",))
     with pytest.raises(BlendError, match="at least one modality"):
         blend.discover(["x"], modalities=())
 
@@ -305,7 +298,7 @@ def test_grammar_ss_and_mixed_predicates():
     blend = _blend(29, "column")
     bindings = {"q": [NAMES[2], NAMES[3]], "topic": [TOPICS[1]]}
     ss = blend.run(parse_plan("SS($topic, k=4)", bindings)).output
-    assert ss == blend.semantic_search(bindings["topic"], k=4)
+    assert ss == blend.discover(bindings["topic"], "semantic", k=4).output
     mixed = blend.run(
         parse_plan("Intersect(SC($q), HY($q, about=$topic, alpha=0.5))", bindings, k=6)
     ).output

@@ -253,14 +253,14 @@ def test_snapshot_preserves_lifecycle_state(tmp_path):
 
 def test_semantic_extension_round_trips(tmp_path):
     lake = _lake(7)
-    blend = Blend(lake, backend="column")
+    config = IndexConfig(semantic=True, semantic_dimensions=16)
+    blend = Blend(lake, backend="column", index_config=config)
     blend.build_index()
-    blend.enable_semantic(dimensions=16)
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     probe = ["alpha", "beta"]
-    assert loaded.semantic_search(probe, k=5).table_ids() == (
-        blend.semantic_search(probe, k=5).table_ids()
+    assert loaded.discover(probe, "semantic", k=5).output.table_ids() == (
+        blend.discover(probe, "semantic", k=5).output.table_ids()
     )
     assert loaded._semantic.snapshot_meta() == blend._semantic.snapshot_meta()
 
@@ -268,8 +268,7 @@ def test_semantic_extension_round_trips(tmp_path):
 def test_semantic_config_flows_through_snapshot(tmp_path):
     """``IndexConfig(semantic=True)`` makes the vector extension part of
     the build contract: ``build_index`` constructs it, the manifest
-    records it, and a load restores it without any ``enable_semantic``
-    call -- identical to the explicitly-enabled deployment."""
+    records it, and a load restores it with no further call."""
     lake = _lake(19)
     config = IndexConfig(semantic=True, semantic_dimensions=16)
     blend = Blend(lake, backend="column", index_config=config)
@@ -277,21 +276,13 @@ def test_semantic_config_flows_through_snapshot(tmp_path):
     assert blend._semantic is not None
     assert blend.db.has_table("AllVectors")
 
-    explicit = Blend(_lake(19), backend="column")
-    explicit.build_index()
-    explicit.enable_semantic(dimensions=16)
-    # enable_semantic back-fills the config, so both spellings converge.
-    assert explicit.index_config.semantic is True
-    assert explicit.index_config.semantic_dimensions == 16
-
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     assert loaded.index_config == config
     probe = ["alpha", "beta"]
     assert (
-        loaded.semantic_search(probe, k=5).table_ids()
-        == blend.semantic_search(probe, k=5).table_ids()
-        == explicit.semantic_search(probe, k=5).table_ids()
+        loaded.discover(probe, "semantic", k=5).output.table_ids()
+        == blend.discover(probe, "semantic", k=5).output.table_ids()
     )
 
 
@@ -493,24 +484,6 @@ def test_delisted_payload_refused(saved):
     with pytest.raises(SnapshotError, match="not listed") as excinfo:
         Blend.load(path)
     assert rel in str(excinfo.value)
-
-
-def test_unpersisted_semantic_extension_round_trips(tmp_path):
-    """enable_semantic(persist=False) keeps vectors in memory only;
-    save() must persist them (a snapshot is the entire built system)
-    rather than writing semantic parameters with no relation behind
-    them."""
-    blend = Blend(_lake(19), backend="column")
-    blend.build_index()
-    blend.enable_semantic(dimensions=16, persist=False)
-    assert not blend.db.has_table("AllVectors")
-    path = blend.save(tmp_path / "snap")
-    loaded = Blend.load(path)
-    assert loaded.db.has_table("AllVectors")
-    probe = ["alpha", "beta"]
-    assert loaded.semantic_search(probe, k=5).table_ids() == (
-        blend.semantic_search(probe, k=5).table_ids()
-    )
 
 
 def test_version_bump_refused(saved):

@@ -10,10 +10,20 @@ import urllib.request
 
 import pytest
 
-from repro import Blend, Seekers
+from repro import Blend, HybridSeeker, Seekers
+from repro.core.semantic import SemanticSeeker
+from repro.index import IndexConfig
 from repro.serving import BlendServer
 
-from tests.serving.conftest import build_blend, make_lake
+from tests.serving.conftest import CITIES, build_blend, make_lake
+
+
+@pytest.fixture(scope="module")
+def served_blend() -> Blend:
+    """The serving lake with AllVectors, so /query can serve SS and HY."""
+    blend = Blend(make_lake(23), backend="column", index_config=IndexConfig(semantic=True))
+    blend.build_index()
+    return blend
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +64,11 @@ def _expected_hits(result):
 
 
 def test_query_parity_all_modalities(server, served_blend):
+    """Every registry modality answers over HTTP exactly like the direct
+    seeker on the served generation."""
     context = served_blend.context()
+    keys = CITIES * 3
+    targets = list(range(len(keys)))
     cases = [
         (
             {"modality": "sc", "values": ["berlin", "paris", "rome"], "k": 5},
@@ -72,12 +86,38 @@ def test_query_parity_all_modalities(server, served_blend):
             },
             Seekers.MC([("berlin", "germany"), ("oslo", "norway")], k=5),
         ),
+        (
+            {"modality": "c", "values": [keys, targets], "k": 3},
+            Seekers.C(keys, targets, k=3),
+        ),
+        (
+            {"modality": "SS", "values": ["berlin", "vienna"], "k": 4},
+            SemanticSeeker(["berlin", "vienna"], k=4),
+        ),
+        (
+            {"modality": "ss", "values": ["rome"], "k": 4, "exact": True},
+            SemanticSeeker(["rome"], k=4, exact=True),
+        ),
+        (
+            {
+                "modality": "hy",
+                "values": ["berlin", "paris"],
+                "about": ["norway"],
+                "alpha": 0.3,
+                "k": 5,
+            },
+            HybridSeeker(["berlin", "paris"], about=["norway"], k=5, alpha=0.3),
+        ),
+        (
+            {"modality": "hybrid", "tuples": [["rome", "italy"]], "k": 5},
+            HybridSeeker([("rome", "italy")], k=5),
+        ),
     ]
     for body, seeker in cases:
         status, payload = _post(server.url, "/query", body)
         assert status == 200, payload
         assert payload["generation"] == served_blend.lake.generation
-        assert _hits(payload) == _expected_hits(seeker.execute(context))
+        assert _hits(payload) == _expected_hits(seeker.execute(context)), body
 
 
 def test_concurrent_http_queries_batch_and_stay_correct(server, served_blend):
@@ -108,6 +148,12 @@ def test_bad_requests_are_400(server):
         {"modality": "mc", "tuples": []},
         {"modality": "sc", "values": ["x"], "k": 0},
         {"modality": "sc", "values": ["x"], "timeout_ms": -5},
+        {"modality": "sc", "values": ["x"], "k": True},
+        {"modality": "sc", "values": ["x"], "timeout_ms": True},
+        {"modality": "c", "values": ["x"]},
+        {"modality": "hy", "values": ["x"], "alpha": 3},
+        {"modality": "hy", "values": ["x"], "about": 5},
+        {"modality": 7, "values": ["x"]},
     ):
         status, payload = _post(server.url, "/query", body)
         assert status == 400, (body, payload)

@@ -18,6 +18,7 @@ from repro.core.results import (
     resolved_partials,
 )
 from repro.core.hybrid import HybridSeeker
+from repro.core.seekers import Seeker
 from repro.core.semantic import SemanticSeeker
 from repro.errors import (
     LakeError,
@@ -26,6 +27,7 @@ from repro.errors import (
     SnapshotError,
     StaleContextError,
 )
+from repro.index import IndexConfig
 from repro.serving import LocalShardWorker, ShardCoordinator
 from repro.snapshot import read_shard_manifest, save_sharded
 
@@ -46,9 +48,8 @@ def _build_blend(seed: int, backend: str, tables: int = 14) -> Blend:
     lake = DataLake(f"shardlake-{seed}")
     for i in range(tables):
         lake.add(_make_table(rng, f"t{i}"))
-    blend = Blend(lake, backend=backend)
+    blend = Blend(lake, backend=backend, index_config=IndexConfig(semantic=True))
     blend.build_index()
-    blend.enable_semantic()
     return blend
 
 
@@ -206,9 +207,10 @@ def test_swap_shard_parity_and_routing(tmp_path):
             shard_lake.add_at(
                 tid, replacement_table if tid == victim else tables[tid]
             )
-        sub = Blend(shard_lake, backend="column")
+        sub = Blend(
+            shard_lake, backend="column", index_config=IndexConfig(semantic=True)
+        )
         sub.build_index()
-        sub.enable_semantic()
         snapshot = tmp_path / "shard-v2"
         sub.save(snapshot)
 
@@ -237,6 +239,36 @@ def test_process_worker_smoke(tmp_path):
         _assert_parity(coordinator, blend, _queries(rng))
         with pytest.raises(LakeError):
             coordinator.remove_table(424242)
+
+
+# -- partial failure: one shard raises, the others' replies are drained ------
+
+
+class _FailsOnTableZero(Seeker):
+    """Raises on the shard that holds table 0; elsewhere answers like an
+    SC query, so the other shards leave a reply behind."""
+
+    kind = "FAULT"
+
+    def partials(self, context, rewrite=None):
+        if 0 in context.lake.table_ids():
+            raise SeekerError("injected shard fault")
+        return Seekers.SC(NAMES[:4], k=5).partials(context)
+
+
+@pytest.mark.parametrize("processes", [False, True], ids=["local", "process"])
+def test_shard_fault_drains_every_reply(tmp_path, processes):
+    """After one shard raises, the coordinator still answers every later
+    query exactly like the solo oracle: the healthy shards' replies to
+    the failed query were collected, not left to wedge an in-process
+    worker or to answer the next query on a child's pipe."""
+    blend = _build_blend(seed=555, backend="column", tables=6)
+    rng = random.Random(666)
+    with _coordinator(blend, tmp_path, 2, processes=processes) as coordinator:
+        for _ in range(2):
+            with pytest.raises(SeekerError, match="injected shard fault"):
+                coordinator.execute(_FailsOnTableZero())
+            _assert_parity(coordinator, blend, _queries(rng))
 
 
 # -- merge_partials edge cases -------------------------------------------------
